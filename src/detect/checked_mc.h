@@ -29,7 +29,6 @@
 #include <bit>
 #include <cstdint>
 #include <limits>
-#include <utility>
 #include <vector>
 
 #include "detect/rail.h"
@@ -309,60 +308,44 @@ DetectionEstimate run_checked_mc_span(PackedSimulator& sim, PackedState& state,
 
 }  // namespace detail
 
-/// Single-threaded checked Monte-Carlo harness (one simulator runs
-/// every batch in order). prepare fills the 64 lanes of a cleared
-/// state — rail and check bits must be left zero; classify returns
-/// true when the lane's *output* is logically wrong. `trace`
-/// (nullable) collects telemetry as one shard.
-template <typename PrepareFn, typename ClassifyFn>
-DetectionEstimate run_checked_mc(const CheckedCircuit& checked,
-                                 const NoiseModel& model, const McOptions& opts,
-                                 PrepareFn&& prepare, ClassifyFn&& classify,
-                                 telemetry::Trace* trace = nullptr) {
-  PackedSimulator sim(model, opts.seed);
-  PackedState state(checked.circuit.width(), opts.lane_words);
-  revft::detail::TraceShards traces(trace, 1);
-  DetectionEstimate est = detail::run_checked_mc_span(
-      sim, state, checked, /*first_batch=*/0, opts.trials,
-      std::forward<PrepareFn>(prepare), std::forward<ClassifyFn>(classify),
-      traces.shard(0));
-  traces.absorb();
-  return est;
-}
+/// The checked engine's adapter for the Monte-Carlo driver
+/// (noise/parallel_mc.h); its headline is the post-selected silent rate.
+struct CheckedEngine {
+  using Estimate = DetectionEstimate;
+  static constexpr const char* kName = "checked";
 
-/// Thread-sharded checked Monte-Carlo run. Same kernel-factory
-/// contract as run_parallel_mc (factory(shard_index) yields an object
-/// with prepare/classify); same determinism guarantee, now for all
-/// four outcome counts. `trace` (nullable) collects per-shard
-/// telemetry absorbed in shard-index order, so the metrics and event
-/// stream are bit-identical across REVFT_THREADS too.
+  const CheckedCircuit& checked;
+
+  std::uint32_t width() const noexcept { return checked.circuit.width(); }
+
+  template <typename Kernel>
+  Estimate run_batch(PackedSimulator& sim, PackedState& state, Kernel& kernel,
+                     std::uint64_t batch, std::uint64_t trials,
+                     telemetry::ShardTrace* trace) const {
+    return detail::run_checked_mc_span(sim, state, checked, batch, trials,
+                                       kernel_prepare(kernel),
+                                       kernel_classify(kernel), trace);
+  }
+
+  static BernoulliEstimate headline(const Estimate& est) noexcept {
+    return {est.silent_failures, est.accepted()};
+  }
+};
+
+/// Thread-sharded checked Monte-Carlo run over the whole budget. Same
+/// kernel-factory contract as run_parallel_mc, except that prepare
+/// must leave rail and check bits zero and classify judges the lane's
+/// *output*; same determinism guarantee, now for all four outcome
+/// counts and the `trace` (nullable) telemetry.
 template <typename KernelFactory>
 DetectionEstimate run_parallel_checked_mc(const CheckedCircuit& checked,
                                           const NoiseModel& model,
                                           const ParallelMcOptions& opts,
                                           KernelFactory&& factory,
                                           telemetry::Trace* trace = nullptr) {
-  const std::vector<McShard> shards = plan_shards(
-      opts.trials, opts.seed, opts.batches_per_shard, opts.lane_words);
-  revft::detail::TraceShards traces(trace, shards.size());
-  DetectionEstimate est = revft::detail::run_sharded_as<DetectionEstimate>(
-      shards, resolve_thread_count(opts.threads),
-      [&](const McShard& shard) -> DetectionEstimate {
-        auto kernel = factory(shard.index);
-        PackedSimulator sim(model, shard.seed);
-        PackedState state(checked.circuit.width(), opts.lane_words);
-        return detail::run_checked_mc_span(
-            sim, state, checked, shard.first_batch, shard.trials,
-            [&kernel](PackedState& s, Xoshiro256& rng, std::uint64_t batch) {
-              kernel.prepare(s, rng, batch);
-            },
-            [&kernel](const PackedState& s, int lane, std::uint64_t batch) {
-              return kernel.classify(s, lane, batch);
-            },
-            traces.shard(shard.index));
-      });
-  traces.absorb();
-  return est;
+  telemetry::StreamOptions run;
+  run.mc = opts;
+  return run_mc(CheckedEngine{checked}, model, run, factory, trace).estimate;
 }
 
 }  // namespace revft::detect

@@ -83,21 +83,7 @@ struct LogicalGateKernel {
 }  // namespace
 
 BernoulliEstimate LogicalGateExperiment::run(double g) const {
-  NoiseModel model = NoiseModel::uniform(g);
-  if (!config_.noisy_init) model.with_perfect_init();
-
-  const int arity = gate_arity(config_.gate);
-  ParallelMcOptions opts;
-  opts.trials = config_.trials;
-  opts.seed = config_.seed;
-  opts.threads = config_.threads;
-
-  return run_parallel_mc(
-      module_.physical, model, opts, [&](std::uint64_t) {
-        return LogicalGateKernel{
-            &module_, &input_leaves_, config_.gate, arity,
-            std::vector<std::uint64_t>(static_cast<std::size_t>(arity), 0)};
-      });
+  return run_streaming(g, telemetry::StreamOptions{}).estimate;
 }
 
 telemetry::StreamResult<BernoulliEstimate> LogicalGateExperiment::run_streaming(
@@ -298,22 +284,9 @@ CheckedMachineExperiment::CheckedMachineExperiment(CheckedMachineProgram program
 
 detect::DetectionEstimate CheckedMachineExperiment::run(
     double g, int threads, telemetry::Trace* trace) const {
-  NoiseModel model = NoiseModel::uniform(g);
-  if (!config_.noisy_init) model.with_perfect_init();
-
-  ParallelMcOptions opts;
-  opts.trials = config_.trials;
-  opts.seed = config_.seed;
-  opts.threads = threads < 0 ? config_.threads : threads;
-  opts.lane_words = config_.lane_words;
-
-  // The shared machine kernel (ft/machine_kernel.h): the recovering
-  // engine instantiates the same type, which is what keeps the
-  // cross-engine bit-for-bit contract honest.
-  return detect::run_parallel_checked_mc(
-      program_.checked, model, opts,
-      [&](std::uint64_t) { return make_machine_kernel(program_, truth_); },
-      trace);
+  telemetry::StreamOptions opts;  // never stops
+  opts.mc.threads = threads < 0 ? config_.threads : threads;
+  return run_streaming(g, opts, trace).estimate;
 }
 
 telemetry::StreamResult<detect::DetectionEstimate>
@@ -326,11 +299,14 @@ CheckedMachineExperiment::run_streaming(double g,
   telemetry::StreamOptions opts = stream;
   opts.mc.trials = config_.trials;
   opts.mc.seed = config_.seed;
-  opts.mc.threads = config_.threads;
+  if (opts.mc.threads <= 0) opts.mc.threads = config_.threads;
   opts.mc.lane_words = config_.lane_words;
 
-  return telemetry::run_streaming_checked_mc(
-      program_.checked, model, opts,
+  // The shared machine kernel (ft/machine_kernel.h): the recovering
+  // engine instantiates the same type, which is what keeps the
+  // cross-engine bit-for-bit contract honest.
+  return run_mc(
+      detect::CheckedEngine{program_.checked}, model, opts,
       [&](std::uint64_t) { return make_machine_kernel(program_, truth_); },
       trace);
 }

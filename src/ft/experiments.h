@@ -52,12 +52,11 @@ class LogicalGateExperiment {
   /// P[compiled gate outputs a wrong logical value] at error rate g.
   BernoulliEstimate run(double g) const;
 
-  /// Streaming variant of run(): identical per-batch semantics (a
-  /// never-firing stop policy reproduces run() bit for bit), observed
-  /// at merged round boundaries. `stream` contributes the stop policy,
-  /// round granularity (mc.batches_per_shard), name and callbacks; the
-  /// experiment's config overrides mc.trials/seed/threads, keeping the
-  /// determinism key in one place.
+  /// run() with an early stop and the convergence trajectory (a
+  /// never-firing policy reproduces run() bit for bit). `stream` gives
+  /// the stop policy, round granularity (mc.batches_per_shard), name
+  /// and callbacks; the config overrides mc.trials/seed/threads,
+  /// keeping the determinism key in one place.
   telemetry::StreamResult<BernoulliEstimate> run_streaming(
       double g, const telemetry::StreamOptions& stream) const;
 
@@ -189,17 +188,16 @@ class CheckedMachineExperiment {
   CheckedMachineExperiment(CheckedMachineProgram program,
                            const Circuit& logical, const Config& config);
 
-  /// `trace` (nullable) collects per-shard telemetry — see
-  /// run_parallel_checked_mc; the stream is bit-identical across
-  /// thread counts for a fixed seed.
+  /// `trace` (nullable) collects per-shard telemetry — see run_mc; the
+  /// stream is bit-identical across thread counts for a fixed seed.
   detect::DetectionEstimate run(double g, int threads = -1,
                                 telemetry::Trace* trace = nullptr) const;
 
   /// Streaming variant of run(): the stop policy watches the
   /// POST-SELECTED silent rate (silent_failures / accepted). `stream`
   /// contributes policy/granularity/callbacks; the experiment's config
-  /// overrides mc.trials/seed/threads/lane_words. A never-firing
-  /// policy reproduces run() bit for bit.
+  /// overrides mc.trials/seed/lane_words, and mc.threads unless it is
+  /// set (> 0). A never-firing policy reproduces run() bit for bit.
   telemetry::StreamResult<detect::DetectionEstimate> run_streaming(
       double g, const telemetry::StreamOptions& stream,
       telemetry::Trace* trace = nullptr) const;

@@ -24,19 +24,9 @@ RecoveryExperiment::RecoveryExperiment(CheckedMachineProgram program,
 recover::RecoveryEstimate RecoveryExperiment::run(
     double g, const recover::RetryPolicy& policy, int threads,
     telemetry::Trace* trace) const {
-  NoiseModel model = NoiseModel::uniform(g);
-  if (!config_.noisy_init) model.with_perfect_init();
-
-  ParallelMcOptions opts;
-  opts.trials = config_.trials;
-  opts.seed = config_.seed;
-  opts.threads = threads < 0 ? config_.threads : threads;
-  opts.lane_words = config_.lane_words;
-
-  return recover::run_parallel_recovering_mc(
-      program_.checked, plan_, policy, model, opts,
-      [&](std::uint64_t) { return make_machine_kernel(program_, truth_); },
-      trace);
+  telemetry::StreamOptions opts;  // never stops
+  opts.mc.threads = threads < 0 ? config_.threads : threads;
+  return run_streaming(g, policy, opts, trace).estimate;
 }
 
 telemetry::StreamResult<recover::RecoveryEstimate>
@@ -49,11 +39,11 @@ RecoveryExperiment::run_streaming(double g, const recover::RetryPolicy& policy,
   telemetry::StreamOptions opts = stream;
   opts.mc.trials = config_.trials;
   opts.mc.seed = config_.seed;
-  opts.mc.threads = config_.threads;
+  if (opts.mc.threads <= 0) opts.mc.threads = config_.threads;
   opts.mc.lane_words = config_.lane_words;
 
-  return telemetry::run_streaming_recovering_mc(
-      program_.checked, plan_, policy, model, opts,
+  return run_mc(
+      recover::RecoveringEngine{program_.checked, plan_, policy}, model, opts,
       [&](std::uint64_t) { return make_machine_kernel(program_, truth_); },
       trace);
 }

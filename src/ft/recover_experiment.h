@@ -59,8 +59,8 @@ class RecoveryExperiment {
   /// Run one policy at error rate g. Results are bit-identical for a
   /// fixed seed at any worker count (pass `threads` >= 1 to pin one
   /// for determinism checks; -1 = the config's). `trace` (nullable)
-  /// collects per-shard telemetry — see run_parallel_recovering_mc —
-  /// with the same thread-count-independence guarantee.
+  /// collects per-shard telemetry — see run_mc — with the same
+  /// thread-count-independence guarantee.
   recover::RecoveryEstimate run(double g, const recover::RetryPolicy& policy,
                                 int threads = -1,
                                 telemetry::Trace* trace = nullptr) const;
@@ -68,8 +68,9 @@ class RecoveryExperiment {
   /// Streaming variant of run(): the stop policy watches the
   /// delivered-output quality (silent_failures / accepted). `stream`
   /// contributes policy/granularity/callbacks; the experiment's config
-  /// overrides mc.trials/seed/threads/lane_words. A never-firing
-  /// policy reproduces run() bit for bit, retries included.
+  /// overrides mc.trials/seed/lane_words, and mc.threads unless it is
+  /// set (> 0). A never-firing policy reproduces run() bit for bit,
+  /// retries included.
   telemetry::StreamResult<recover::RecoveryEstimate> run_streaming(
       double g, const recover::RetryPolicy& policy,
       const telemetry::StreamOptions& stream,

@@ -6,8 +6,8 @@
 // confidence intervals.
 //
 // The batch loop itself lives in detail::run_mc_span so the
-// thread-sharded engine (noise/parallel_mc.h) can run the identical
-// per-batch semantics over a sub-range of batches.
+// Monte-Carlo driver (noise/parallel_mc.h) can run the identical
+// per-batch semantics one batch at a time, through PlainEngine.
 #pragma once
 
 #include <bit>
@@ -111,6 +111,45 @@ BernoulliEstimate run_mc_span(PackedSimulator& sim, PackedState& state,
 }
 
 }  // namespace detail
+
+/// prepare / classify callables forwarding to a kernel object (the
+/// kernel contract of noise/parallel_mc.h).
+template <typename Kernel>
+auto kernel_prepare(Kernel& kernel) {
+  return [&kernel](PackedState& s, Xoshiro256& rng, std::uint64_t batch) {
+    kernel.prepare(s, rng, batch);
+  };
+}
+template <typename Kernel>
+auto kernel_classify(Kernel& kernel) {
+  return [&kernel](const PackedState& s, int lane, std::uint64_t batch) {
+    return kernel.classify(s, lane, batch);
+  };
+}
+
+/// The plain engine's adapter for the Monte-Carlo driver
+/// (noise/parallel_mc.h); its headline is the raw failure rate.
+struct PlainEngine {
+  using Estimate = BernoulliEstimate;
+  static constexpr const char* kName = "plain";
+
+  const Circuit& circuit;
+
+  std::uint32_t width() const noexcept { return circuit.width(); }
+
+  template <typename Kernel>
+  Estimate run_batch(PackedSimulator& sim, PackedState& state, Kernel& kernel,
+                     std::uint64_t batch, std::uint64_t trials,
+                     telemetry::ShardTrace* trace) const {
+    return detail::run_mc_span(sim, state, circuit, batch, trials,
+                               kernel_prepare(kernel), kernel_classify(kernel),
+                               trace);
+  }
+
+  static BernoulliEstimate headline(const Estimate& est) noexcept {
+    return est;
+  }
+};
 
 /// Single-threaded harness: one simulator seeded with opts.seed runs
 /// every batch in order. See detail::run_mc_span for the prepare /

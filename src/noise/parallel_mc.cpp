@@ -1,7 +1,15 @@
 #include "noise/parallel_mc.h"
 
 #include <algorithm>
+#include <charconv>
+#include <condition_variable>
 #include <cstdlib>
+#include <cstring>
+#include <exception>
+#include <limits>
+#include <mutex>
+#include <string>
+#include <thread>
 
 #include "support/error.h"
 #include "support/rng.h"
@@ -33,11 +41,18 @@ std::vector<McShard> plan_shards(std::uint64_t trials, std::uint64_t master_seed
   return shards;
 }
 
-int resolve_thread_count(int requested) noexcept {
+int resolve_thread_count(int requested) {
   if (requested > 0) return requested;
   if (const char* env = std::getenv("REVFT_THREADS")) {
-    const long parsed = std::strtol(env, nullptr, 0);
-    if (parsed > 0) return static_cast<int>(parsed);
+    // Decimal digits only: from_chars takes no '+', base prefix or
+    // space, a '-' leaves parsed < 1, and trailing text stops it early.
+    const char* end = env + std::strlen(env);
+    int parsed = 0;
+    const auto [stop, ec] = std::from_chars(env, end, parsed);
+    if (ec != std::errc() || stop != end || parsed < 1)
+      throw Error(std::string("REVFT_THREADS=\"") + env +
+                  "\": expected a positive decimal thread count");
+    return parsed;
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? static_cast<int>(hw) : 1;
@@ -45,10 +60,111 @@ int resolve_thread_count(int requested) noexcept {
 
 namespace detail {
 
-BernoulliEstimate run_sharded(
-    const std::vector<McShard>& shards, int threads,
-    const std::function<BernoulliEstimate(const McShard&)>& run_shard) {
-  return run_sharded_as<BernoulliEstimate>(shards, threads, run_shard);
+void drive_shards(const std::vector<std::uint64_t>& shard_batches, int threads,
+                  bool stoppable, const ShardHooks& hooks) {
+  const std::uint64_t horizon =
+      stoppable ? 1 : std::numeric_limits<std::uint64_t>::max();
+  const std::size_t n = shard_batches.size();
+  if (n == 0) return;
+  const std::uint64_t rounds =
+      *std::max_element(shard_batches.begin(), shard_batches.end());
+
+  std::mutex mu;
+  std::condition_variable round_done;  // the caller waits for a round
+  std::condition_variable released;    // workers wait for a fold or the end
+  std::vector<std::uint64_t> next(n, 0);  // next batch to run, per shard
+  std::vector<char> busy(n, 0);
+  // waiting[r]: shards whose batch r is not yet published (or given up).
+  std::vector<std::uint64_t> waiting(rounds, 0);
+  for (const std::uint64_t b : shard_batches)
+    for (std::uint64_t r = 0; r < b; ++r) ++waiting[r];
+  std::vector<std::exception_ptr> errors(n);
+  std::exception_ptr fold_error;
+  std::uint64_t folded = 0;
+  bool done = false;
+  // Shards below `scan` are not claimable until the next fold: a shard
+  // the scan passed is busy, finished, or (after its release) past the
+  // horizon, and only a fold moves the horizon.
+  std::size_t scan = 0;
+  const auto claimable = [&](std::size_t i) {
+    return !busy[i] && next[i] < shard_batches[i] && next[i] - folded < horizon;
+  };
+
+  // Runs shard i from its next batch while the horizon allows; `lk` is
+  // held on entry and on exit.
+  const auto run_shard = [&](std::size_t i, std::unique_lock<std::mutex>& lk) {
+    busy[i] = 1;
+    const std::uint64_t first = next[i];
+    const std::uint64_t end = std::min(
+        shard_batches[i], folded + std::min(horizon, shard_batches[i]));
+    lk.unlock();
+    std::exception_ptr error;
+    try {
+      for (std::uint64_t b = first; b < end; ++b) hooks.run_batch(i, b);
+    } catch (...) {
+      error = std::current_exception();
+    }
+    lk.lock();
+    try {
+      hooks.publish(i, first);
+    } catch (...) {
+      if (!error) error = std::current_exception();
+    }
+    // A failed shard gives up its remaining batches so the rounds it
+    // would have joined can still fold.
+    const std::uint64_t stop = error ? shard_batches[i] : end;
+    for (std::uint64_t r = first; r < stop; ++r) --waiting[r];
+    errors[i] = error;
+    next[i] = stop;
+    busy[i] = 0;
+    if (folded < rounds && waiting[folded] == 0) round_done.notify_one();
+  };
+
+  // Every worker runs this loop; only the calling thread folds.
+  const auto work = [&](bool caller) {
+    std::unique_lock<std::mutex> lk(mu);
+    while (!done) {
+      if (caller && waiting[folded] == 0) {
+        lk.unlock();
+        bool stop = true;
+        try {
+          stop = hooks.fold_round(folded);
+        } catch (...) {
+          fold_error = std::current_exception();
+        }
+        lk.lock();
+        ++folded;
+        scan = 0;
+        done = stop || folded == rounds;
+        released.notify_all();
+        continue;
+      }
+      while (scan < n && !claimable(scan)) ++scan;
+      if (scan < n)
+        run_shard(scan++, lk);
+      else if (caller)
+        round_done.wait(lk);
+      else if (!stoppable)
+        return;  // no fold can hand out more work
+      else
+        released.wait(lk);
+    }
+  };
+
+  const std::size_t workers =
+      std::min<std::size_t>(static_cast<std::size_t>(std::max(threads, 1)), n);
+  std::vector<std::thread> pool;
+  try {
+    for (std::size_t t = 1; t < workers; ++t) pool.emplace_back(work, false);
+  } catch (...) {
+    // Out of threads: run on those that did start (the caller is one).
+  }
+  work(true);
+  for (std::thread& t : pool) t.join();
+
+  for (const std::exception_ptr& e : errors)
+    if (e) std::rethrow_exception(e);
+  if (fold_error) std::rethrow_exception(fold_error);
 }
 
 }  // namespace detail

@@ -1,42 +1,57 @@
 // revft/noise/parallel_mc.h
 //
-// Thread-sharded Monte-Carlo engine: a drop-in generalization of
-// run_packed_mc (noise/monte_carlo.h) that splits the trial budget
-// into fixed-size shards and runs them on a pool of worker threads.
+// The Monte-Carlo driver. run_mc runs any engine (plain, checked,
+// recovering) over a sharded trial budget on `threads` workers, folds
+// the per-batch estimates into rounds, records a convergence snapshot
+// per round and decides when to stop. An engine is a small adapter
+// next to its span function (PlainEngine in noise/monte_carlo.h,
+// detect::CheckedEngine, recover::RecoveringEngine): an Estimate type
+// that merges exactly under +=, a kName, width(), a
+// run_batch(sim, state, kernel, batch, trials, shard_trace) that runs
+// ONE batch, and a static headline(estimate) for the stop policy.
 //
-// Determinism contract: for a fixed (trials, seed, batches_per_shard,
-// lane_words) the result is bit-identical regardless of thread count.
-// This holds because
-//   * the shard plan is a pure function of trials and batches_per_shard
-//     (never of the thread count),
-//   * each shard owns a private PackedSimulator seeded with a child
-//     seed derived *in shard order* from one master Xoshiro256
-//     (Xoshiro256::derive_seed, support/rng.h), and
-//   * shard estimates are merged in shard-index order after all
-//     workers finish (BernoulliEstimate::operator+= is exact integer
-//     accumulation, so even summation order is immaterial).
+// The budget splits into shards of batches_per_shard batches of
+// 64 * lane_words trials (plan_shards). A shard's {kernel, simulator
+// seeded with the shard's child seed, state} bundle is created at its
+// first batch and freed after its last; round r is batch r of every
+// shard that has one. One scheduling rule: a worker runs the
+// lowest-index shard whose next batch b satisfies
+// b < folded_rounds + horizon, for as long as that holds. horizon is
+// 1 round when the stop policy is enabled and unbounded otherwise, so
+//   * a run nothing can stop runs whole shards, with at most `threads`
+//     bundles alive; its rounds complete, and on_snapshot fires, as the
+//     last shards finish — often in a burst near the end;
+//   * a stoppable run moves one round at a time, and no batch past the
+//     stop round ever runs.
 //
-// Because per-batch callback state (e.g. the lane-input words the
-// classifier compares against) must not be shared across concurrently
-// running shards, the parallel engine takes a *kernel factory* rather
-// than bare prepare/classify callables: factory(shard_index) returns a
-// fresh kernel object per shard with
+// Determinism: for a fixed (trials, seed, batches_per_shard,
+// lane_words) the estimate, snapshots, stop decision and trace are
+// bit-identical at any thread count. The plan and the shard seeds
+// depend only on that key, each shard runs its batches in order on its
+// own simulator, and estimates merge by exact integer sums, so a
+// round's total does not depend on the order its deltas arrive in.
+//
+// Kernels: factory(shard_index) returns a fresh kernel per shard, so
+// per-batch state (e.g. the lane inputs a classifier compares against)
+// is never shared between concurrently running shards:
 //   void prepare(PackedState&, Xoshiro256&, std::uint64_t batch);
 //   bool classify(const PackedState&, int lane, std::uint64_t batch);
-// (classify returning true counts a failure). The factory itself must
-// be safe to invoke concurrently.
+// classify returning true counts a failure. The factory is called from
+// worker threads and must be safe to invoke concurrently.
 #pragma once
 
-#include <atomic>
+#include <algorithm>
+#include <chrono>
 #include <cstdint>
-#include <exception>
 #include <functional>
-#include <thread>
-#include <utility>
+#include <optional>
+#include <string>
 #include <vector>
 
 #include "noise/monte_carlo.h"
 #include "support/stats.h"
+#include "telemetry/convergence.h"
+#include "telemetry/trace.h"
 
 namespace revft {
 
@@ -77,153 +92,176 @@ std::vector<McShard> plan_shards(std::uint64_t trials, std::uint64_t master_seed
                                  std::uint64_t batches_per_shard,
                                  unsigned lane_words = 1);
 
-/// `requested` if > 0; else the REVFT_THREADS env var if set and > 0;
-/// else std::thread::hardware_concurrency() (at least 1).
-int resolve_thread_count(int requested) noexcept;
+/// `requested` if > 0; else the REVFT_THREADS env var if set; else
+/// std::thread::hardware_concurrency() (at least 1). REVFT_THREADS must
+/// be a positive decimal integer — anything else throws revft::Error.
+int resolve_thread_count(int requested);
+
+namespace telemetry {
+
+/// Configuration of one driver run. `mc.trials` is the trial BUDGET
+/// (the ceiling an early stop saves against); the other mc fields are
+/// the usual determinism key. A default EarlyStopPolicy never stops —
+/// the run records snapshots but consumes the whole budget.
+struct StreamOptions {
+  ParallelMcOptions mc;
+  EarlyStopPolicy stop;
+  /// Artifact name for CONV_<name>.json (the caller decides whether to
+  /// write it; the driver only fills the trajectory).
+  std::string name = "stream";
+  /// Live progress hook, invoked on the calling thread after every
+  /// folded round with the freshly recorded snapshot (==
+  /// trajectory.snapshots.back()). Must not mutate the trajectory.
+  std::function<void(const ConvergenceSnapshot&,
+                     const ConvergenceTrajectory&)>
+      on_snapshot;
+};
+
+/// A driver run's outcome: the engine's full estimate (stopped or
+/// exhausted) plus the convergence trajectory that led there.
+template <typename Estimate>
+struct StreamResult {
+  Estimate estimate{};
+  ConvergenceTrajectory trajectory;
+
+  StopReason stop_reason() const noexcept { return trajectory.stop_reason; }
+  bool stopped_early() const noexcept { return trajectory.stopped_early(); }
+};
+
+}  // namespace telemetry
 
 namespace detail {
 
-/// Runs `run_shard` over every shard on `threads` workers and merges
-/// the per-shard estimates in shard-index order. Generic over the
-/// estimate type: `Estimate` must be default-constructible and merge
-/// exactly under operator+= (integer accumulation), so the result is
-/// independent of worker count. `run_shard` is invoked concurrently
-/// from multiple threads; exceptions are captured and rethrown on the
-/// calling thread (first shard in index order wins).
-template <typename Estimate, typename RunShard>
-Estimate run_sharded_as(const std::vector<McShard>& shards, int threads,
-                        RunShard&& run_shard) {
-  Estimate total{};
-  if (shards.empty()) return total;
-
-  const std::size_t workers = static_cast<std::size_t>(
-      threads < 1 ? 1
-                  : std::min<std::uint64_t>(static_cast<std::uint64_t>(threads),
-                                            shards.size()));
-  std::vector<Estimate> partial(shards.size());
-
-  if (workers == 1) {
-    for (const McShard& shard : shards) partial[shard.index] = run_shard(shard);
-  } else {
-    // Work-stealing over the shard list: shard *assignment* to threads
-    // is nondeterministic, but each shard's result depends only on the
-    // shard itself and lands in its own slot, so the merge below is
-    // deterministic.
-    std::atomic<std::size_t> next{0};
-    std::vector<std::exception_ptr> errors(shards.size());
-    auto worker = [&] {
-      for (std::size_t i = next.fetch_add(1); i < shards.size();
-           i = next.fetch_add(1)) {
-        try {
-          partial[i] = run_shard(shards[i]);
-        } catch (...) {
-          errors[i] = std::current_exception();
-        }
-      }
-    };
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (std::size_t t = 0; t < workers; ++t) pool.emplace_back(worker);
-    for (std::thread& t : pool) t.join();
-    for (const std::exception_ptr& e : errors)
-      if (e) std::rethrow_exception(e);
-  }
-
-  // Merge in shard-index order (exact integer sums, so any order would
-  // agree — the fixed order keeps the contract obvious).
-  for (const Estimate& est : partial) total += est;
-  return total;
-}
-
-/// BernoulliEstimate instantiation kept out-of-line for existing
-/// callers (and to keep one canonical symbol in the library).
-BernoulliEstimate run_sharded(
-    const std::vector<McShard>& shards, int threads,
-    const std::function<BernoulliEstimate(const McShard&)>& run_shard);
-
-/// Per-shard telemetry plumbing shared by every parallel driver:
-/// preallocates one ShardTrace per shard (indexed by shard.index, so
-/// concurrently running workers write disjoint elements with no
-/// synchronization — the same ownership discipline as the partial
-/// estimates), hands out pointers during the run, and absorbs into
-/// the session Trace in shard-index order after the workers join.
-/// With a null session every accessor returns nullptr and nothing is
-/// allocated.
-class TraceShards {
- public:
-  TraceShards(telemetry::Trace* trace, std::size_t shard_count)
-      : trace_(trace) {
-    if (trace_ != nullptr) shards_ = trace_->make_shards(shard_count);
-  }
-  telemetry::ShardTrace* shard(std::uint64_t index) noexcept {
-    return trace_ != nullptr ? &shards_[index] : nullptr;
-  }
-  /// Call once, after run_sharded_as returns (workers joined).
-  void absorb() {
-    if (trace_ != nullptr) trace_->absorb(shards_);
-  }
-
- private:
-  telemetry::Trace* trace_;
-  std::vector<telemetry::ShardTrace> shards_;
+/// The typed halves of run_mc that drive_shards calls back into.
+struct ShardHooks {
+  /// Any worker, no lock held: run batch `batch` (0-based) of `shard`.
+  /// A shard's batches run one at a time and in order.
+  std::function<void(std::size_t shard, std::uint64_t batch)> run_batch;
+  /// Lock held: hand the batches run since the shard was claimed (from
+  /// batch `first` on) to their rounds.
+  std::function<void(std::size_t shard, std::uint64_t first)> publish;
+  /// Calling thread, no lock held: fold the fully published `round`.
+  /// Returning true stops the run.
+  std::function<bool(std::uint64_t round)> fold_round;
 };
+
+/// The scheduler behind run_mc (see the file comment for the rule; the
+/// horizon is 1 round when `stoppable`, else unbounded) on
+/// min(threads, shards) workers, the calling thread among them. A shard
+/// whose batch throws stops there; every other shard still runs, and
+/// once the workers have joined the lowest-index shard's exception is
+/// rethrown (then any from fold_round).
+void drive_shards(const std::vector<std::uint64_t>& shard_batches, int threads,
+                  bool stoppable, const ShardHooks& hooks);
 
 }  // namespace detail
 
-/// Thread-sharded Monte-Carlo run. See the file comment for the
-/// kernel-factory contract and the determinism guarantee. `trace`
-/// (nullable) collects per-shard telemetry, absorbed in shard-index
-/// order — the event stream and metrics inherit the bit-identical-
-/// across-REVFT_THREADS guarantee.
+/// The Monte-Carlo driver (see the file comment). `trace` (nullable)
+/// collects per-shard telemetry, absorbed in shard-index order, so the
+/// metrics and the event stream inherit the bit-identical-across-
+/// REVFT_THREADS guarantee.
+template <typename Engine, typename KernelFactory>
+telemetry::StreamResult<typename Engine::Estimate> run_mc(
+    const Engine& engine, const NoiseModel& model,
+    const telemetry::StreamOptions& opts, KernelFactory&& factory,
+    telemetry::Trace* trace = nullptr) {
+  using Estimate = typename Engine::Estimate;
+  using Kernel = decltype(factory(std::uint64_t{0}));
+  // Members initialized in place, kernel first: no kernel is ever
+  // copied or moved.
+  struct Bundle {
+    Kernel kernel;
+    PackedSimulator sim;
+    PackedState state;
+    Bundle(KernelFactory& f, const McShard& shard, const NoiseModel& m,
+           std::uint32_t width, unsigned lane_words)
+        : kernel(f(shard.index)), sim(m, shard.seed), state(width, lane_words) {}
+  };
+
+  const ParallelMcOptions& mc = opts.mc;
+  const std::vector<McShard> shards =
+      plan_shards(mc.trials, mc.seed, mc.batches_per_shard, mc.lane_words);
+  const std::uint64_t lanes_per_batch = 64ULL * mc.lane_words;
+  std::vector<std::uint64_t> batches(shards.size());
+  for (const McShard& s : shards)
+    batches[s.index] = (s.trials + lanes_per_batch - 1) / lanes_per_batch;
+
+  telemetry::StreamResult<Estimate> result;
+  telemetry::ConvergenceTrajectory& traj = result.trajectory;
+  traj.name = opts.name;
+  traj.engine = Engine::kName;
+  traj.key = {mc.trials, mc.seed, mc.batches_per_shard, mc.lane_words};
+  traj.policy = opts.stop;
+
+  // One ShardTrace per shard, written only by the worker running the
+  // shard and absorbed in shard-index order after the workers join.
+  std::vector<telemetry::ShardTrace> shard_traces;
+  if (trace != nullptr) shard_traces = trace->make_shards(shards.size());
+  // What a shard's worker writes per batch: its bundle and the deltas
+  // not yet published (freed on publish). Cache-line aligned so workers
+  // on neighbouring shards never share a line.
+  struct alignas(64) ShardSlot {
+    std::optional<Bundle> bundle;
+    std::vector<Estimate> pending;
+  };
+  std::vector<ShardSlot> slots(shards.size());
+  // round_sums[r]: the published deltas of round r, written under the
+  // driver lock, read by the fold.
+  std::vector<Estimate> round_sums(batches.empty() ? 0 : batches.front());
+  auto round_start = std::chrono::steady_clock::now();
+
+  detail::ShardHooks hooks;
+  hooks.run_batch = [&](std::size_t i, std::uint64_t b) {
+    const McShard& shard = shards[i];
+    ShardSlot& slot = slots[i];
+    if (b == 0)
+      slot.bundle.emplace(factory, shard, model, engine.width(), mc.lane_words);
+    Bundle& bundle = *slot.bundle;
+    slot.pending.push_back(engine.run_batch(
+        bundle.sim, bundle.state, bundle.kernel, shard.first_batch + b,
+        std::min(lanes_per_batch, shard.trials - b * lanes_per_batch),
+        trace != nullptr ? &shard_traces[i] : nullptr));
+    if (b + 1 == batches[i]) slot.bundle.reset();
+  };
+  hooks.publish = [&](std::size_t i, std::uint64_t first) {
+    std::vector<Estimate>& pending = slots[i].pending;
+    for (std::size_t k = 0; k < pending.size(); ++k)
+      round_sums[first + k] += pending[k];
+    pending = std::vector<Estimate>();
+  };
+  hooks.fold_round = [&](std::uint64_t round) {
+    result.estimate += round_sums[round];
+    const auto now = std::chrono::steady_clock::now();
+    traj.wall.round_seconds.push_back(
+        std::chrono::duration<double>(now - round_start).count());
+    round_start = now;
+    const BernoulliEstimate headline = Engine::headline(result.estimate);
+    traj.record(round, result.estimate.trials, headline);
+    if (opts.on_snapshot) opts.on_snapshot(traj.snapshots.back(), traj);
+    traj.stop_reason =
+        telemetry::decide_stop(opts.stop, result.estimate.trials, headline);
+    return traj.stop_reason != telemetry::StopReason::kNone;
+  };
+  detail::drive_shards(batches, resolve_thread_count(mc.threads),
+                       opts.stop.enabled(), hooks);
+
+  if (traj.stop_reason == telemetry::StopReason::kNone)
+    traj.stop_reason = telemetry::StopReason::kExhausted;
+  if (trace != nullptr) trace->absorb(shard_traces);
+  return result;
+}
+
+/// Thread-sharded run of the plain engine over the whole budget: the
+/// driver with a policy that never stops.
 template <typename KernelFactory>
 BernoulliEstimate run_parallel_mc(const Circuit& circuit,
                                   const NoiseModel& model,
                                   const ParallelMcOptions& opts,
                                   KernelFactory&& factory,
                                   telemetry::Trace* trace = nullptr) {
-  const std::vector<McShard> shards = plan_shards(
-      opts.trials, opts.seed, opts.batches_per_shard, opts.lane_words);
-  detail::TraceShards traces(trace, shards.size());
-  BernoulliEstimate est = detail::run_sharded(
-      shards, resolve_thread_count(opts.threads),
-      [&](const McShard& shard) -> BernoulliEstimate {
-        auto kernel = factory(shard.index);
-        PackedSimulator sim(model, shard.seed);
-        PackedState state(circuit.width(), opts.lane_words);
-        return detail::run_mc_span(
-            sim, state, circuit, shard.first_batch, shard.trials,
-            [&kernel](PackedState& s, Xoshiro256& rng, std::uint64_t batch) {
-              kernel.prepare(s, rng, batch);
-            },
-            [&kernel](const PackedState& s, int lane, std::uint64_t batch) {
-              return kernel.classify(s, lane, batch);
-            },
-            traces.shard(shard.index));
-      });
-  traces.absorb();
-  return est;
-}
-
-/// Adapts bare prepare/classify callables (the run_packed_mc calling
-/// convention) into a kernel factory: each shard receives its own
-/// *copies*, so state captured by value is private per shard. Captures
-/// by reference must be either immutable or externally synchronized.
-template <typename PrepareFn, typename ClassifyFn>
-auto per_shard_kernel(PrepareFn prepare, ClassifyFn classify) {
-  struct Kernel {
-    PrepareFn prepare_fn;
-    ClassifyFn classify_fn;
-    void prepare(PackedState& s, Xoshiro256& rng, std::uint64_t batch) {
-      prepare_fn(s, rng, batch);
-    }
-    bool classify(const PackedState& s, int lane, std::uint64_t batch) {
-      return classify_fn(s, lane, batch);
-    }
-  };
-  return [prepare = std::move(prepare),
-          classify = std::move(classify)](std::uint64_t) {
-    return Kernel{prepare, classify};
-  };
+  telemetry::StreamOptions run;
+  run.mc = opts;
+  return run_mc(PlainEngine{circuit}, model, run, factory, trace).estimate;
 }
 
 }  // namespace revft

@@ -38,7 +38,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <utility>
 
 #include "detect/rail.h"
 #include "noise/parallel_mc.h"
@@ -75,61 +74,49 @@ RecoveryEstimate run_recovering_mc_span(
     const PrepareFn& prepare, const ClassifyFn& classify,
     telemetry::ShardTrace* trace = nullptr);
 
-/// Single-threaded recovering Monte-Carlo harness. `trace` (nullable)
-/// collects telemetry as one shard.
-template <typename Prepare, typename Classify>
-RecoveryEstimate run_recovering_mc(const detect::CheckedCircuit& checked,
-                                   const SegmentPlan& plan,
-                                   const RetryPolicy& policy,
-                                   const NoiseModel& model,
-                                   const McOptions& opts, Prepare&& prepare,
-                                   Classify&& classify,
-                                   telemetry::Trace* trace = nullptr) {
-  PackedSimulator sim(model, opts.seed);
-  PackedState state(checked.circuit.width(), opts.lane_words);
-  revft::detail::TraceShards traces(trace, 1);
-  RecoveryEstimate est = run_recovering_mc_span(
-      sim, state, checked, plan, policy,
-      /*first_batch=*/0, opts.trials,
-      PrepareFn(std::forward<Prepare>(prepare)),
-      ClassifyFn(std::forward<Classify>(classify)), traces.shard(0));
-  traces.absorb();
-  return est;
-}
+/// The recovering engine's adapter for the Monte-Carlo driver
+/// (noise/parallel_mc.h); its headline is the delivered-output quality.
+struct RecoveringEngine {
+  using Estimate = RecoveryEstimate;
+  static constexpr const char* kName = "recovering";
 
-/// Thread-sharded recovering Monte-Carlo run. Same kernel-factory
-/// contract as run_parallel_mc / run_parallel_checked_mc; each shard's
-/// child seed drives both the first pass and every retry it spawns, so
-/// the determinism guarantee covers the whole protocol — and, via the
-/// shard-index-order absorb, the telemetry stream of `trace`
-/// (nullable) as well.
+  const detect::CheckedCircuit& checked;
+  const SegmentPlan& plan;
+  const RetryPolicy& policy;
+
+  std::uint32_t width() const noexcept { return checked.circuit.width(); }
+
+  template <typename Kernel>
+  Estimate run_batch(PackedSimulator& sim, PackedState& state, Kernel& kernel,
+                     std::uint64_t batch, std::uint64_t trials,
+                     telemetry::ShardTrace* trace) const {
+    return run_recovering_mc_span(sim, state, checked, plan, policy, batch,
+                                  trials, kernel_prepare(kernel),
+                                  kernel_classify(kernel), trace);
+  }
+
+  static BernoulliEstimate headline(const Estimate& est) noexcept {
+    return {est.silent_failures, est.accepted};
+  }
+};
+
+/// Thread-sharded recovering Monte-Carlo run over the whole budget.
+/// Same kernel-factory contract as run_parallel_mc /
+/// run_parallel_checked_mc; each shard's child seed drives both the
+/// first pass and every retry it spawns, so the determinism guarantee
+/// covers the whole protocol — and, via the shard-index-order absorb,
+/// the telemetry stream of `trace` (nullable) as well.
 template <typename KernelFactory>
 RecoveryEstimate run_parallel_recovering_mc(
     const detect::CheckedCircuit& checked, const SegmentPlan& plan,
     const RetryPolicy& policy, const NoiseModel& model,
     const ParallelMcOptions& opts, KernelFactory&& factory,
     telemetry::Trace* trace = nullptr) {
-  const std::vector<McShard> shards = plan_shards(
-      opts.trials, opts.seed, opts.batches_per_shard, opts.lane_words);
-  revft::detail::TraceShards traces(trace, shards.size());
-  RecoveryEstimate est = revft::detail::run_sharded_as<RecoveryEstimate>(
-      shards, resolve_thread_count(opts.threads),
-      [&](const McShard& shard) -> RecoveryEstimate {
-        auto kernel = factory(shard.index);
-        PackedSimulator sim(model, shard.seed);
-        PackedState state(checked.circuit.width(), opts.lane_words);
-        return run_recovering_mc_span(
-            sim, state, checked, plan, policy, shard.first_batch, shard.trials,
-            [&kernel](PackedState& s, Xoshiro256& rng, std::uint64_t batch) {
-              kernel.prepare(s, rng, batch);
-            },
-            [&kernel](const PackedState& s, int lane, std::uint64_t batch) {
-              return kernel.classify(s, lane, batch);
-            },
-            traces.shard(shard.index));
-      });
-  traces.absorb();
-  return est;
+  telemetry::StreamOptions run;
+  run.mc = opts;
+  return run_mc(RecoveringEngine{checked, plan, policy}, model, run, factory,
+                trace)
+      .estimate;
 }
 
 }  // namespace revft::recover

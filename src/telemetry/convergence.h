@@ -2,12 +2,13 @@
 //
 // Convergence observability for streaming Monte-Carlo runs: the data
 // model of "how tight is the estimate NOW, and when is it safe to
-// stop" that telemetry/stream.h fills in while an engine is running.
+// stop" that the Monte-Carlo driver (run_mc, noise/parallel_mc.h)
+// fills in while an engine is running.
 //
 // Everything here obeys the repo's determinism contract. A snapshot is
-// taken only at a MERGED ROUND BOUNDARY (one batch per still-active
-// shard, partial estimates folded in shard-index order — see
-// stream.h), so the snapshot series, the early-stop decision, and the
+// taken only at a FOLDED ROUND BOUNDARY (batch r of every shard that
+// has one, merged by exact integer sums — see noise/parallel_mc.h),
+// so the snapshot series, the early-stop decision, and the
 // stopped estimate are all pure functions of the determinism key
 // (trials, seed, batches_per_shard, lane_words) — bit-identical across
 // REVFT_THREADS, ctest-enforced. Wall-clock lives in the ONE section
@@ -139,7 +140,7 @@ struct ConvergenceTrajectory {
   WallProfile wall;  ///< excluded from deterministic_equal
 
   /// Append the snapshot for `round` (half-width computed at
-  /// policy.z). Called by the stream runner at each merged boundary.
+  /// policy.z). Called by the driver at each folded round boundary.
   void record(std::uint64_t round, std::uint64_t raw_trials,
               const BernoulliEstimate& headline);
 

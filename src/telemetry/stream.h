@@ -1,24 +1,20 @@
 // revft/telemetry/stream.h
 //
-// Streaming observation layer over the thread-sharded Monte-Carlo
-// engines: run the SAME per-batch semantics as run_parallel_mc /
-// run_parallel_checked_mc / run_parallel_recovering_mc, but one ROUND
-// at a time — a round is one batch from every still-active shard —
-// with the partial estimates merged in shard-index order at every
-// round boundary. Each boundary yields a ConvergenceSnapshot (rate +
-// Wilson half-width of the engine's headline estimate), feeds the
-// live on_snapshot callback, and evaluates the EarlyStopPolicy.
+// Streaming runs: watch a Monte-Carlo estimate converge and stop it as
+// soon as it is tight enough. The one driver, run_mc in
+// noise/parallel_mc.h, does this for every engine — it folds rounds,
+// records a ConvergenceSnapshot (rate + Wilson half-width of the
+// engine's headline estimate) per round, calls on_snapshot and applies
+// the EarlyStopPolicy — and defines StreamOptions and StreamResult,
+// which this header re-exports. run_streaming_mc is the plain engine's
+// entry point; the checked and recovering machines stream through
+// CheckedMachineExperiment / RecoveryExperiment::run_streaming.
 //
-// Determinism: each shard keeps its own persistent simulator seeded
-// with the shard's child seed and consumes batches in the same order
-// as the full-span run, so the per-shard RNG streams are IDENTICAL to
-// the non-streaming engines' — a no-stop streaming run reproduces the
-// legacy estimate bit for bit (ctest-pinned). Snapshots exist only at
-// merged round boundaries and the merge order is fixed, so the
-// snapshot series, the stop decision, and therefore the stopped
-// estimate (trials consumed, failures, rail counters — everything)
-// are bit-identical across REVFT_THREADS (ctest-enforced across
-// {1,3,8}). Wall-clock is confined to WallProfile, which
+// A stopped run is bit-identical across REVFT_THREADS (the driver
+// moves one round at a time, so no batch past the stop round runs); a
+// run nothing can stop reproduces the full-budget estimate bit for
+// bit, with the same snapshots, though on_snapshot may fire in a burst
+// near the end. Wall-clock is confined to WallProfile, which
 // deterministic_equal ignores.
 //
 // The headline estimate each engine converges on:
@@ -27,311 +23,18 @@
 //   recovering  silent_failures / accepted   (delivered-output quality)
 #pragma once
 
-#include <chrono>
-#include <cstdint>
-#include <functional>
-#include <memory>
-#include <string>
-#include <type_traits>
-#include <utility>
-#include <vector>
-
-#include "detect/checked_mc.h"
 #include "noise/parallel_mc.h"
-#include "recover/recovering_mc.h"
-#include "telemetry/convergence.h"
-#include "telemetry/trace.h"
 
 namespace revft::telemetry {
 
-/// Configuration of one streaming run. `mc.trials` is the trial BUDGET
-/// (the ceiling an early stop saves against); the other mc fields are
-/// the usual determinism key. A default EarlyStopPolicy never stops —
-/// the run streams snapshots but consumes the whole budget, exactly
-/// reproducing the non-streaming engines.
-struct StreamOptions {
-  ParallelMcOptions mc;
-  EarlyStopPolicy stop;
-  /// Artifact name for CONV_<name>.json (the caller decides whether to
-  /// write it; the runner only fills the trajectory).
-  std::string name = "stream";
-  /// Live progress hook, invoked on the coordinating thread after
-  /// every merged round with the freshly recorded snapshot (==
-  /// trajectory.snapshots.back()). Must not mutate the trajectory.
-  std::function<void(const ConvergenceSnapshot&,
-                     const ConvergenceTrajectory&)>
-      on_snapshot;
-  /// Record per-round wall durations into the trajectory's
-  /// WallProfile (never into the deterministic payload).
-  bool wall_clock = true;
-};
-
-/// A streaming run's outcome: the engine's full estimate (stopped or
-/// exhausted) plus the convergence trajectory that led there.
-template <typename Estimate>
-struct StreamResult {
-  Estimate estimate{};
-  ConvergenceTrajectory trajectory;
-
-  StopReason stop_reason() const noexcept { return trajectory.stop_reason; }
-  bool stopped_early() const noexcept { return trajectory.stopped_early(); }
-};
-
-/// The headline BernoulliEstimate a streaming run converges on, per
-/// engine (see file comment). Overload resolution picks the right one
-/// inside the generic round loop.
-inline BernoulliEstimate headline_estimate(
-    const BernoulliEstimate& est) noexcept {
-  return est;
-}
-inline BernoulliEstimate headline_estimate(
-    const detect::DetectionEstimate& est) noexcept {
-  return {est.silent_failures, est.accepted()};
-}
-inline BernoulliEstimate headline_estimate(
-    const recover::RecoveryEstimate& est) noexcept {
-  return {est.silent_failures, est.accepted};
-}
-
-namespace detail {
-
-/// Persistent worker pool with a two-phase barrier per round: workers
-/// sleep between rounds, the coordinator releases them, they drain the
-/// job list through a work-stealing counter (job ASSIGNMENT is
-/// nondeterministic, but each job writes only its own slot — the
-/// run_sharded_as ownership discipline), and everyone meets at the
-/// join barrier. Worker exceptions are captured per job index and the
-/// lowest-index one rethrown on the coordinator, mirroring
-/// run_sharded_as. With fewer than 2 effective workers there is no
-/// pool and run_round executes inline.
-class RoundScheduler {
- public:
-  /// `jobs` is fixed for the scheduler's lifetime (one per shard);
-  /// `threads` has run_sharded_as semantics (capped by jobs).
-  RoundScheduler(std::size_t jobs, int threads);
-  ~RoundScheduler();
-  RoundScheduler(const RoundScheduler&) = delete;
-  RoundScheduler& operator=(const RoundScheduler&) = delete;
-
-  /// Run fn(i) for every i in [0, jobs); returns when all are done.
-  void run_round(const std::function<void(std::size_t)>& fn);
-
- private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;  ///< null → inline execution
-  std::size_t jobs_;
-};
-
-/// The generic round loop every engine wrapper funnels into.
-/// `make_state(shard)` builds the shard's persistent simulator/kernel
-/// bundle (a unique_ptr — constructed once, so the RNG stream spans
-/// rounds exactly like a full-span run); `run_batch(state, shard,
-/// global_batch, trials_this_batch, shard_trace)` executes ONE batch
-/// through the engine's span function and returns the delta estimate.
-template <typename Estimate, typename MakeState, typename RunBatch>
-StreamResult<Estimate> run_streaming_rounds(const char* engine,
-                                            const StreamOptions& opts,
-                                            Trace* trace, MakeState&& make_state,
-                                            RunBatch&& run_batch) {
-  const std::vector<McShard> shards = plan_shards(
-      opts.mc.trials, opts.mc.seed, opts.mc.batches_per_shard,
-      opts.mc.lane_words);
-
-  StreamResult<Estimate> result;
-  ConvergenceTrajectory& traj = result.trajectory;
-  traj.name = opts.name;
-  traj.engine = engine;
-  traj.key = {opts.mc.trials, opts.mc.seed, opts.mc.batches_per_shard,
-              opts.mc.lane_words};
-  traj.policy = opts.stop;
-  if (shards.empty()) {
-    traj.stop_reason = StopReason::kExhausted;
-    return result;
-  }
-
-  revft::detail::TraceShards traces(trace, shards.size());
-
-  const std::uint64_t lanes_per_batch = 64ULL * opts.mc.lane_words;
-  const auto shard_batches = [&](const McShard& s) {
-    return (s.trials + lanes_per_batch - 1) / lanes_per_batch;
-  };
-  std::uint64_t total_rounds = 0;
-  for (const McShard& s : shards)
-    total_rounds = std::max(total_rounds, shard_batches(s));
-
-  using State = std::remove_reference_t<decltype(*make_state(shards.front()))>;
-  std::vector<std::unique_ptr<State>> states;
-  states.reserve(shards.size());
-  for (const McShard& s : shards) states.push_back(make_state(s));
-
-  std::vector<Estimate> deltas(shards.size());
-  RoundScheduler scheduler(shards.size(),
-                           resolve_thread_count(opts.mc.threads));
-
-  Estimate total{};
-  for (std::uint64_t round = 0; round < total_rounds; ++round) {
-    const auto t0 = std::chrono::steady_clock::now();
-    scheduler.run_round([&](std::size_t i) {
-      const McShard& shard = shards[i];
-      if (round >= shard_batches(shard)) {
-        deltas[i] = Estimate{};  // shard already drained
-        return;
-      }
-      const std::uint64_t done = round * lanes_per_batch;
-      const std::uint64_t this_trials =
-          std::min<std::uint64_t>(lanes_per_batch, shard.trials - done);
-      deltas[i] = run_batch(*states[i], shard, shard.first_batch + round,
-                            this_trials, traces.shard(shard.index));
-    });
-    // Fold the round's deltas in shard-index order — exact integer
-    // sums, so the boundary estimate inherits the engines' thread-
-    // count independence.
-    for (const Estimate& d : deltas) total += d;
-    if (opts.wall_clock) {
-      traj.wall.round_seconds.push_back(
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-              .count());
-    }
-    const BernoulliEstimate headline = headline_estimate(total);
-    traj.record(round, total.trials, headline);
-    if (opts.on_snapshot) opts.on_snapshot(traj.snapshots.back(), traj);
-    const StopReason stop = decide_stop(opts.stop, total.trials, headline);
-    if (stop != StopReason::kNone) {
-      traj.stop_reason = stop;
-      break;
-    }
-  }
-  if (traj.stop_reason == StopReason::kNone)
-    traj.stop_reason = StopReason::kExhausted;
-  traces.absorb();
-  result.estimate = std::move(total);
-  return result;
-}
-
-}  // namespace detail
-
-/// Streaming counterpart of run_parallel_mc: same kernel-factory
-/// contract, same determinism key, plus the convergence trajectory.
-/// With a never-firing policy the estimate equals run_parallel_mc's
-/// bit for bit.
+/// Streaming run of the plain engine: run_parallel_mc's kernel-factory
+/// contract and determinism key, plus the convergence trajectory (a
+/// never-firing policy gives run_parallel_mc's estimate bit for bit).
 template <typename KernelFactory>
 StreamResult<BernoulliEstimate> run_streaming_mc(
     const Circuit& circuit, const NoiseModel& model, const StreamOptions& opts,
     KernelFactory&& factory, Trace* trace = nullptr) {
-  using Kernel = decltype(factory(std::uint64_t{0}));
-  struct State {
-    PackedSimulator sim;
-    PackedState st;
-    Kernel kernel;
-    State(const NoiseModel& m, std::uint64_t seed, std::uint32_t width,
-          unsigned lane_words, Kernel k)
-        : sim(m, seed), st(width, lane_words), kernel(std::move(k)) {}
-  };
-  return detail::run_streaming_rounds<BernoulliEstimate>(
-      "plain", opts, trace,
-      [&](const McShard& shard) {
-        return std::make_unique<State>(model, shard.seed, circuit.width(),
-                                       opts.mc.lane_words,
-                                       factory(shard.index));
-      },
-      [&](State& s, const McShard&, std::uint64_t batch, std::uint64_t trials,
-          ShardTrace* shard_trace) {
-        return revft::detail::run_mc_span(
-            s.sim, s.st, circuit, batch, trials,
-            [&s](PackedState& ps, Xoshiro256& rng, std::uint64_t b) {
-              s.kernel.prepare(ps, rng, b);
-            },
-            [&s](const PackedState& ps, int lane, std::uint64_t b) {
-              return s.kernel.classify(ps, lane, b);
-            },
-            shard_trace);
-      });
-}
-
-/// Streaming counterpart of run_parallel_checked_mc. The headline the
-/// policy watches is the POST-SELECTED silent rate (silent_failures /
-/// accepted); all four outcome counts and the per-rail counters land
-/// in the stopped estimate with the same bit-identity guarantee.
-template <typename KernelFactory>
-StreamResult<detect::DetectionEstimate> run_streaming_checked_mc(
-    const detect::CheckedCircuit& checked, const NoiseModel& model,
-    const StreamOptions& opts, KernelFactory&& factory,
-    Trace* trace = nullptr) {
-  using Kernel = decltype(factory(std::uint64_t{0}));
-  struct State {
-    PackedSimulator sim;
-    PackedState st;
-    Kernel kernel;
-    State(const NoiseModel& m, std::uint64_t seed, std::uint32_t width,
-          unsigned lane_words, Kernel k)
-        : sim(m, seed), st(width, lane_words), kernel(std::move(k)) {}
-  };
-  return detail::run_streaming_rounds<detect::DetectionEstimate>(
-      "checked", opts, trace,
-      [&](const McShard& shard) {
-        return std::make_unique<State>(model, shard.seed,
-                                       checked.circuit.width(),
-                                       opts.mc.lane_words,
-                                       factory(shard.index));
-      },
-      [&](State& s, const McShard&, std::uint64_t batch, std::uint64_t trials,
-          ShardTrace* shard_trace) {
-        return detect::detail::run_checked_mc_span(
-            s.sim, s.st, checked, batch, trials,
-            [&s](PackedState& ps, Xoshiro256& rng, std::uint64_t b) {
-              s.kernel.prepare(ps, rng, b);
-            },
-            [&s](const PackedState& ps, int lane, std::uint64_t b) {
-              return s.kernel.classify(ps, lane, b);
-            },
-            shard_trace);
-      });
-}
-
-/// Streaming counterpart of run_parallel_recovering_mc: the retry
-/// protocol (replays, restarts, cost accounting) runs inside each
-/// batch exactly as in the full-span engine, so streaming changes
-/// nothing about the protocol — only where the observer stands.
-template <typename KernelFactory>
-StreamResult<recover::RecoveryEstimate> run_streaming_recovering_mc(
-    const detect::CheckedCircuit& checked, const recover::SegmentPlan& plan,
-    const recover::RetryPolicy& policy, const NoiseModel& model,
-    const StreamOptions& opts, KernelFactory&& factory,
-    Trace* trace = nullptr) {
-  using Kernel = decltype(factory(std::uint64_t{0}));
-  struct State {
-    PackedSimulator sim;
-    PackedState st;
-    Kernel kernel;
-    recover::PrepareFn prepare;
-    recover::ClassifyFn classify;
-    State(const NoiseModel& m, std::uint64_t seed, std::uint32_t width,
-          unsigned lane_words, Kernel k)
-        : sim(m, seed), st(width, lane_words), kernel(std::move(k)) {
-      // Bind the std::function callbacks once per shard, not once per
-      // round (run_recovering_mc_span takes them by const reference).
-      prepare = [this](PackedState& ps, Xoshiro256& rng, std::uint64_t b) {
-        kernel.prepare(ps, rng, b);
-      };
-      classify = [this](const PackedState& ps, int lane, std::uint64_t b) {
-        return kernel.classify(ps, lane, b);
-      };
-    }
-  };
-  return detail::run_streaming_rounds<recover::RecoveryEstimate>(
-      "recovering", opts, trace,
-      [&](const McShard& shard) {
-        return std::make_unique<State>(model, shard.seed,
-                                       checked.circuit.width(),
-                                       opts.mc.lane_words,
-                                       factory(shard.index));
-      },
-      [&](State& s, const McShard&, std::uint64_t batch, std::uint64_t trials,
-          ShardTrace* shard_trace) {
-        return recover::run_recovering_mc_span(
-            s.sim, s.st, checked, plan, policy, batch, trials, s.prepare,
-            s.classify, shard_trace);
-      });
+  return run_mc(PlainEngine{circuit}, model, opts, factory, trace);
 }
 
 }  // namespace revft::telemetry

@@ -1,16 +1,23 @@
 // Thread-sharded Monte-Carlo engine tests: exact trial accounting for
 // partial batches, the determinism contract (bit-identical results at
-// any thread count for a fixed seed), and statistical agreement with
-// the single-threaded harness.
+// any thread count for a fixed seed), statistical agreement with the
+// single-threaded harness, the driver's memory and exception
+// guarantees, and strict REVFT_THREADS parsing.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
+#include <cstdlib>
+#include <optional>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "ft/experiments.h"
 #include "noise/monte_carlo.h"
 #include "noise/parallel_mc.h"
 #include "rev/circuit.h"
+#include "support/error.h"
 
 namespace revft {
 namespace {
@@ -19,6 +26,26 @@ Circuit single_not() {
   Circuit c(1);
   c.not_(0);
   return c;
+}
+
+/// Adapts bare prepare/classify callables (the run_packed_mc calling
+/// convention) into a kernel factory: each shard receives its own
+/// copies.
+template <typename PrepareFn, typename ClassifyFn>
+auto per_shard_kernel(PrepareFn prepare, ClassifyFn classify) {
+  struct Kernel {
+    PrepareFn prepare_fn;
+    ClassifyFn classify_fn;
+    void prepare(PackedState& s, Xoshiro256& rng, std::uint64_t batch) {
+      prepare_fn(s, rng, batch);
+    }
+    bool classify(const PackedState& s, int lane, std::uint64_t batch) {
+      return classify_fn(s, lane, batch);
+    }
+  };
+  return [prepare, classify](std::uint64_t) {
+    return Kernel{prepare, classify};
+  };
 }
 
 // --- partial-batch accounting (run_packed_mc regression) --------------
@@ -165,6 +192,125 @@ TEST(ParallelMc, PartialBatchAccountingAcrossShards) {
                          }));
     EXPECT_EQ(est.trials, trials);
     EXPECT_EQ(est.failures, 0u);
+  }
+}
+
+// --- driver guarantees ------------------------------------------------
+
+/// Counts live kernels across all shards. Neither copyable nor movable,
+/// so every kernel the driver holds is one the factory built in place.
+struct LiveCountKernel {
+  static inline std::atomic<int> live{0};
+  static inline std::atomic<int> peak{0};
+
+  LiveCountKernel() {
+    const int now = live.fetch_add(1) + 1;
+    int seen = peak.load();
+    while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+    }
+  }
+  ~LiveCountKernel() { live.fetch_sub(1); }
+  LiveCountKernel(const LiveCountKernel&) = delete;
+  LiveCountKernel& operator=(const LiveCountKernel&) = delete;
+
+  void prepare(PackedState&, Xoshiro256&, std::uint64_t) {}
+  bool classify(const PackedState& s, int lane, std::uint64_t) const {
+    return s.bit_lane(0, lane) != 1;
+  }
+};
+
+TEST(McDriver, NoStopRunKeepsAtMostThreadsKernelsAlive) {
+  // The peak-memory guarantee: a run nothing can stop holds at most one
+  // {kernel, simulator, state} bundle per worker.
+  const Circuit c = single_not();
+  for (const int threads : {1, 3, 8}) {
+    LiveCountKernel::live = 0;
+    LiveCountKernel::peak = 0;
+    const auto est = run_parallel_mc(
+        c, NoiseModel::uniform(0.05), small_shard_opts(40000, threads),
+        [](std::uint64_t) { return LiveCountKernel{}; });
+    EXPECT_EQ(est.trials, 40000u);
+    EXPECT_EQ(LiveCountKernel::live.load(), 0) << threads;
+    EXPECT_GE(LiveCountKernel::peak.load(), 1) << threads;
+    EXPECT_LE(LiveCountKernel::peak.load(), threads) << threads;
+  }
+}
+
+/// Throws from its first prepare when it belongs to shard 2 or 5.
+struct ThrowingKernel {
+  std::uint64_t shard;
+  void prepare(PackedState&, Xoshiro256&, std::uint64_t) {
+    if (shard == 2 || shard == 5)
+      throw std::runtime_error("shard " + std::to_string(shard));
+  }
+  bool classify(const PackedState&, int, std::uint64_t) const { return false; }
+};
+
+TEST(McDriver, RethrowsTheLowestIndexShardException) {
+  const Circuit c = single_not();
+  for (const bool stoppable : {false, true}) {
+    for (const int threads : {1, 4}) {
+      telemetry::StreamOptions opts;
+      opts.mc = small_shard_opts(20000, threads);  // 40 shards
+      // A policy that is enabled but cannot fire before the budget ends.
+      if (stoppable) opts.stop.target_half_width = 1e-9;
+      std::optional<std::string> caught;
+      try {
+        run_mc(PlainEngine{c}, NoiseModel::uniform(0.05), opts,
+               [](std::uint64_t shard) { return ThrowingKernel{shard}; });
+      } catch (const std::runtime_error& e) {
+        caught = e.what();
+      }
+      ASSERT_TRUE(caught.has_value()) << stoppable << " " << threads;
+      EXPECT_EQ(*caught, "shard 2") << stoppable << " " << threads;
+    }
+  }
+}
+
+// --- REVFT_THREADS ----------------------------------------------------
+
+/// Sets REVFT_THREADS for one scope, restoring the previous value.
+class ThreadsEnv {
+ public:
+  explicit ThreadsEnv(const char* value) {
+    if (const char* old = std::getenv("REVFT_THREADS")) saved_ = old;
+    setenv("REVFT_THREADS", value, 1);
+  }
+  ~ThreadsEnv() {
+    if (saved_)
+      setenv("REVFT_THREADS", saved_->c_str(), 1);
+    else
+      unsetenv("REVFT_THREADS");
+  }
+
+ private:
+  std::optional<std::string> saved_;
+};
+
+TEST(ResolveThreadCount, ReadsDecimalDigits) {
+  {
+    const ThreadsEnv env("12");
+    EXPECT_EQ(resolve_thread_count(0), 12);
+    EXPECT_EQ(resolve_thread_count(3), 3);  // an explicit count wins
+  }
+  {
+    const ThreadsEnv env("010");  // decimal, not octal
+    EXPECT_EQ(resolve_thread_count(0), 10);
+  }
+}
+
+TEST(ResolveThreadCount, RejectsAnythingButAPositiveDecimal) {
+  for (const char* bad : {"0x10", "12abc", "abc", "-2", "", "0", " 4",
+                          "99999999999999999999"}) {
+    const ThreadsEnv env(bad);
+    try {
+      resolve_thread_count(0);
+      ADD_FAILURE() << "accepted REVFT_THREADS=\"" << bad << "\"";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("REVFT_THREADS"),
+                std::string::npos)
+          << e.what();
+    }
   }
 }
 

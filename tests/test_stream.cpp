@@ -1,9 +1,10 @@
 // Tests for the streaming observation layer (telemetry/stream.h +
 // telemetry/convergence.h) — the PR 10 determinism suite:
 //
-//   * a no-stop streaming run reproduces the legacy full-run estimate
-//     EXACTLY for all three engines (plain, checked, recovering) —
-//     streaming is pure observation, never perturbation;
+//   * a no-stop run reproduces a driver-free serial reference (each
+//     shard run whole by its span function) EXACTLY for all three
+//     engines (plain, checked, recovering) — streaming is pure
+//     observation, never perturbation;
 //   * early-stopped estimates — trials consumed, failures, rail and
 //     cost counters, the whole struct — are bit-identical across
 //     worker counts {1, 3, 8}, and the convergence trajectory
@@ -172,14 +173,40 @@ TEST(EarlyStop, StopReasonNamesAreStable) {
                "upper_bound");
 }
 
-// --- no-stop streaming == legacy full run -----------------------------
+// --- no-stop streaming == driver-free reference -----------------------
+
+/// Driver-free reference: every shard of the plan runs serially, in
+/// index order, through its own simulator and ONE call of the engine's
+/// span function over the whole shard. `run_shard(shard, sim, state)`
+/// makes that call; the estimates merge in shard order.
+template <typename Estimate, typename RunShard>
+Estimate serial_reference(const ParallelMcOptions& mc, const NoiseModel& model,
+                          std::uint32_t width, RunShard&& run_shard) {
+  Estimate total{};
+  for (const McShard& shard : plan_shards(mc.trials, mc.seed,
+                                          mc.batches_per_shard, mc.lane_words)) {
+    PackedSimulator sim(model, shard.seed);
+    PackedState state(width, mc.lane_words);
+    total += run_shard(shard, sim, state);
+  }
+  return total;
+}
 
 TEST(StreamPlain, NoStopReproducesLegacyEstimateExactly) {
   const Circuit circuit = bare_toffoli();
   const NoiseModel model = NoiseModel::uniform(0.05);
-  const ParallelMcOptions mc = plain_mc_options();
+  ParallelMcOptions mc = plain_mc_options();
+  mc.threads = 3;
 
-  const BernoulliEstimate legacy = run_parallel_mc(
+  const BernoulliEstimate reference = serial_reference<BernoulliEstimate>(
+      mc, model, circuit.width(),
+      [&](const McShard& shard, PackedSimulator& sim, PackedState& state) {
+        ToffoliKernel kernel;
+        return detail::run_mc_span(sim, state, circuit, shard.first_batch,
+                                   shard.trials, kernel_prepare(kernel),
+                                   kernel_classify(kernel));
+      });
+  const BernoulliEstimate parallel = run_parallel_mc(
       circuit, model, mc, [](std::uint64_t) { return ToffoliKernel{}; });
 
   StreamOptions opts;
@@ -187,37 +214,72 @@ TEST(StreamPlain, NoStopReproducesLegacyEstimateExactly) {
   const auto streamed = telemetry::run_streaming_mc(
       circuit, model, opts, [](std::uint64_t) { return ToffoliKernel{}; });
 
-  EXPECT_EQ(streamed.estimate.failures, legacy.failures);
-  EXPECT_EQ(streamed.estimate.trials, legacy.trials);
+  EXPECT_EQ(parallel.failures, reference.failures);
+  EXPECT_EQ(parallel.trials, reference.trials);
+  EXPECT_EQ(streamed.estimate.failures, reference.failures);
+  EXPECT_EQ(streamed.estimate.trials, reference.trials);
   EXPECT_FALSE(streamed.stopped_early());
   EXPECT_EQ(streamed.stop_reason(), StopReason::kExhausted);
   EXPECT_EQ(streamed.trajectory.trials_consumed(), mc.trials);
 }
 
 TEST(StreamChecked, NoStopReproducesLegacyEstimateExactly) {
+  const Circuit logical = routed_toffoli3();
   const auto program = CheckedMachine1d(3, true, recovering_machine_options())
-                           .compile(routed_toffoli3());
+                           .compile(logical);
   CheckedMachineExperiment::Config config;
   config.trials = 20000;
-  const CheckedMachineExperiment exp(program, routed_toffoli3(), config);
+  config.threads = 3;
+  const CheckedMachineExperiment exp(program, logical, config);
 
-  const detect::DetectionEstimate legacy = exp.run(0.01);
+  ParallelMcOptions mc;
+  mc.trials = config.trials;
+  mc.seed = config.seed;
+  const std::vector<unsigned> truth = machine_truth_table(logical);
+  const detect::DetectionEstimate reference =
+      serial_reference<detect::DetectionEstimate>(
+          mc, NoiseModel::uniform(0.01), program.checked.circuit.width(),
+          [&](const McShard& shard, PackedSimulator& sim, PackedState& state) {
+            MachineWorkloadKernel kernel = make_machine_kernel(program, truth);
+            return detect::detail::run_checked_mc_span(
+                sim, state, program.checked, shard.first_batch, shard.trials,
+                kernel_prepare(kernel), kernel_classify(kernel));
+          });
+
+  EXPECT_EQ(exp.run(0.01), reference);
   const auto streamed = exp.run_streaming(0.01, StreamOptions{});
-  EXPECT_EQ(streamed.estimate, legacy);
+  EXPECT_EQ(streamed.estimate, reference);
   EXPECT_EQ(streamed.stop_reason(), StopReason::kExhausted);
 }
 
 TEST(StreamRecovering, NoStopReproducesLegacyEstimateExactly) {
+  const Circuit logical = routed_toffoli3();
   const auto program = CheckedMachine1d(3, true, recovering_machine_options())
-                           .compile(routed_toffoli3());
+                           .compile(logical);
   RecoveryExperiment::Config config;
   config.trials = 20000;
-  const RecoveryExperiment exp(program, routed_toffoli3(), config);
+  config.threads = 3;
+  const RecoveryExperiment exp(program, logical, config);
   const auto policy = recover::RetryPolicy::block_local();
 
-  const recover::RecoveryEstimate legacy = exp.run(0.01, policy);
+  ParallelMcOptions mc;
+  mc.trials = config.trials;
+  mc.seed = config.seed;
+  const std::vector<unsigned> truth = machine_truth_table(logical);
+  const recover::RecoveryEstimate reference =
+      serial_reference<recover::RecoveryEstimate>(
+          mc, NoiseModel::uniform(0.01), program.checked.circuit.width(),
+          [&](const McShard& shard, PackedSimulator& sim, PackedState& state) {
+            MachineWorkloadKernel kernel = make_machine_kernel(program, truth);
+            return recover::run_recovering_mc_span(
+                sim, state, program.checked, exp.plan(), policy,
+                shard.first_batch, shard.trials, kernel_prepare(kernel),
+                kernel_classify(kernel));
+          });
+
+  EXPECT_EQ(exp.run(0.01, policy), reference);
   const auto streamed = exp.run_streaming(0.01, policy, StreamOptions{});
-  EXPECT_EQ(streamed.estimate, legacy);
+  EXPECT_EQ(streamed.estimate, reference);
   EXPECT_EQ(streamed.stop_reason(), StopReason::kExhausted);
 }
 
@@ -231,7 +293,6 @@ telemetry::StreamResult<BernoulliEstimate> stopped_plain_run(
   opts.stop.target_rel_half_width = 0.2;
   opts.stop.min_failures = 30;
   opts.stop.min_trials = 1024;
-  opts.wall_clock = false;
   return telemetry::run_streaming_mc(
       bare_toffoli(), NoiseModel::uniform(0.05), opts,
       [](std::uint64_t) { return ToffoliKernel{}; });
@@ -278,7 +339,6 @@ TEST(StreamChecked, StoppedEstimateBitIdenticalAcrossThreads) {
     opts.mc.batches_per_shard = 64;
     opts.stop.target_upper_bound = 0.02;  // certify the silent rate
     opts.stop.min_trials = 4096;
-    opts.wall_clock = false;
     return exp.run_streaming(0.01, opts);
   };
 
@@ -310,7 +370,6 @@ TEST(StreamRecovering, StoppedEstimateBitIdenticalAcrossThreads) {
     opts.mc.batches_per_shard = 64;
     opts.stop.target_upper_bound = 0.02;  // certify delivered quality
     opts.stop.min_trials = 4096;
-    opts.wall_clock = false;
     return exp.run_streaming(0.01, policy, opts);
   };
 
@@ -323,6 +382,44 @@ TEST(StreamRecovering, StoppedEstimateBitIdenticalAcrossThreads) {
     // Retries, per-rail events, op accounting — the whole struct.
     EXPECT_EQ(tn.estimate, t1.estimate) << threads;
     EXPECT_TRUE(tn.trajectory.deterministic_equal(t1.trajectory)) << threads;
+  }
+}
+
+TEST(StreamPlain, StoppedTraceBitIdenticalAndEndsAtTheStopRound) {
+  // A stoppable run moves one round at a time, so the trace holds the
+  // batches of rounds 0..stop and nothing past them — at any thread
+  // count, with no discard step.
+  const auto traced_run = [](int threads, telemetry::Trace& trace) {
+    StreamOptions opts;
+    opts.mc = plain_mc_options();
+    opts.mc.threads = threads;
+    opts.stop.target_rel_half_width = 0.2;
+    opts.stop.min_failures = 30;
+    opts.stop.min_trials = 1024;
+    return telemetry::run_streaming_mc(
+        bare_toffoli(), NoiseModel::uniform(0.05), opts,
+        [](std::uint64_t) { return ToffoliKernel{}; }, &trace);
+  };
+
+  telemetry::Trace t1;
+  const auto r1 = traced_run(1, t1);
+  ASSERT_TRUE(r1.stopped_early());
+  const std::uint64_t stop_round = r1.trajectory.snapshots.back().round;
+  const std::uint64_t bps = plain_mc_options().batches_per_shard;
+  ASSERT_LT(stop_round + 1, bps);  // the stop saved whole rounds
+  ASSERT_FALSE(t1.events().empty());
+  for (const telemetry::Event& ev : t1.events())
+    EXPECT_LE(ev.batch % bps, stop_round) << "batch " << ev.batch;
+  EXPECT_EQ(t1.metrics().find("mc.trials")->value, r1.estimate.trials);
+
+  for (const int threads : {3, 8}) {
+    telemetry::Trace tn;
+    const auto rn = traced_run(threads, tn);
+    EXPECT_EQ(rn.estimate.failures, r1.estimate.failures) << threads;
+    EXPECT_EQ(rn.estimate.trials, r1.estimate.trials) << threads;
+    EXPECT_TRUE(tn.metrics() == t1.metrics()) << threads;
+    EXPECT_EQ(tn.events(), t1.events()) << threads;
+    EXPECT_TRUE(tn.deterministic_equal(t1)) << threads;
   }
 }
 
@@ -349,7 +446,6 @@ TEST(StreamTrajectory, OnSnapshotFiresOncePerRound) {
   StreamOptions opts;
   opts.mc = plain_mc_options();
   opts.mc.threads = 2;
-  opts.wall_clock = false;
   opts.on_snapshot = [&](const ConvergenceSnapshot& snap,
                          const ConvergenceTrajectory& traj) {
     EXPECT_EQ(snap.round, calls);
