@@ -1,42 +1,20 @@
 #include "bench_common.h"
 
-#include <cmath>
-
 #include <cstdio>
-#include <cstdlib>
+#include <utility>
 
-#include "support/provenance.h"
+#include "support/artifact.h"
+#include "support/env.h"
 
 namespace revft::benchutil {
 
-namespace {
-std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') return fallback;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(value, &end, 0);
-  if (end == value) return fallback;
-  return static_cast<std::uint64_t>(parsed);
-}
-
-// Minimal JSON string escaping: our keys are ASCII identifiers, so
-// only the structural characters need care.
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out;
-}
-}  // namespace
-
 std::uint64_t trials_from_env(std::uint64_t fallback) {
-  return env_u64("REVFT_TRIALS", fallback);
+  return env::decimal("REVFT_TRIALS", 1).value_or(fallback);
 }
 
-std::uint64_t seed_from_env() { return env_u64("REVFT_SEED", 0xD5A2005ULL); }
+std::uint64_t seed_from_env() {
+  return env::decimal("REVFT_SEED").value_or(0xD5A2005ULL);
+}
 
 void print_header(const std::string& title, const std::string& paper_ref) {
   std::printf("\n================================================================\n");
@@ -46,10 +24,7 @@ void print_header(const std::string& title, const std::string& paper_ref) {
   std::printf("================================================================\n");
 }
 
-JsonResultWriter::JsonResultWriter(std::string name) : name_(std::move(name)) {
-  meta("git_sha", provenance::git_sha());
-  meta("compiler", provenance::compiler_version());
-}
+JsonResultWriter::JsonResultWriter(std::string name) : name_(std::move(name)) {}
 
 const char* target_isa() {
 #if defined(__AVX512F__)
@@ -65,120 +40,28 @@ void stamp_run_meta(JsonResultWriter& json, std::uint64_t trials,
                     std::uint64_t seed, unsigned lane_words) {
   json.meta("trials", trials);
   json.meta("seed", seed);
-  json.meta("lane_words", static_cast<std::uint64_t>(lane_words));
-  json.meta("target_isa", std::string(target_isa()));
+  json.meta("lane_words", lane_words);
+  json.meta("target_isa", target_isa());
 }
 
-JsonResultWriter::~JsonResultWriter() { write(); }
-
-namespace {
-std::string number_token(double value) {
-  // JSON has no inf/nan tokens; retry-cost columns are infinite when
-  // every trial aborts, so map non-finite values to null.
-  if (!std::isfinite(value)) return "null";
-  char buffer[64];
-  std::snprintf(buffer, sizeof buffer, "%.17g", value);
-  return buffer;
+void JsonResultWriter::meta(const std::string& key, json::Value value) {
+  meta_.set(key, std::move(value));
 }
 
-std::string number_token(std::uint64_t value) {
-  return std::to_string(value);
-}
-}  // namespace
-
-void JsonResultWriter::meta(const std::string& key, double value) {
-  meta_.emplace_back(key, number_token(value));
+void JsonResultWriter::add(const std::string& section, const std::string& key,
+                           json::Value value) {
+  json::Value* entries = results_.find(section);
+  if (entries == nullptr) entries = &results_.set(section, json::Value::object());
+  entries->set(key, std::move(value));
 }
 
-void JsonResultWriter::meta(const std::string& key, std::uint64_t value) {
-  meta_.emplace_back(key, number_token(value));
-}
-
-void JsonResultWriter::meta(const std::string& key, const std::string& value) {
-  // Built with += rather than operator+(const char*, string&&): the
-  // latter trips GCC 12's -Wrestrict false positive (PR105329) at -O3.
-  std::string token = "\"";
-  token += json_escape(value);
-  token += '"';
-  meta_.emplace_back(key, std::move(token));
-}
-
-JsonResultWriter::Entries* JsonResultWriter::section(const std::string& name) {
-  for (auto& s : sections_)
-    if (s.first == name) return &s.second;
-  sections_.push_back({name, {}});
-  return &sections_.back().second;
-}
-
-void JsonResultWriter::add(const std::string& section_name,
-                           const std::string& key, double value) {
-  section(section_name)->emplace_back(key, number_token(value));
-}
-
-void JsonResultWriter::add(const std::string& section_name,
-                           const std::string& key, std::uint64_t value) {
-  section(section_name)->emplace_back(key, number_token(value));
-}
-
-// Structured values are stored pre-serialized: json::Value::dump()
-// emits exactly the token grammar the scalar paths use, so nested
-// objects and arrays coexist with the number tokens in one Entries
-// list.
-void JsonResultWriter::meta(const std::string& key, const json::Value& value) {
-  meta_.emplace_back(key, value.dump());
-}
-
-void JsonResultWriter::add(const std::string& section_name,
-                           const std::string& key, const json::Value& value) {
-  section(section_name)->emplace_back(key, value.dump());
-}
-
-bool JsonResultWriter::write() {
-  if (written_) return true;
-  written_ = true;
-
-  std::string dir = ".";
-  if (const char* env = std::getenv("REVFT_JSON_DIR")) {
-    if (*env == '\0') return false;  // emission disabled
-    dir = env;
-  }
-  const std::string path = dir + "/BENCH_" + name_ + ".json";
-
-  auto emit_map = [](std::string& out, const Entries& entries) {
-    out += '{';
-    for (std::size_t i = 0; i < entries.size(); ++i) {
-      if (i) out += ", ";
-      out += '"';
-      out += json_escape(entries[i].first);
-      out += "\": ";
-      out += entries[i].second;
-    }
-    out += '}';
-  };
-
-  std::string out = "{\n  \"bench\": \"";
-  out += json_escape(name_);
-  out += "\",\n  \"meta\": ";
-  emit_map(out, meta_);
-  out += ",\n  \"results\": {";
-  for (std::size_t i = 0; i < sections_.size(); ++i) {
-    if (i) out += ',';
-    out += "\n    \"";
-    out += json_escape(sections_[i].first);
-    out += "\": ";
-    emit_map(out, sections_[i].second);
-  }
-  out += sections_.empty() ? "}\n}\n" : "\n  }\n}\n";
-
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "bench_common: cannot write %s\n", path.c_str());
-    return false;
-  }
-  const bool ok = std::fwrite(out.data(), 1, out.size(), f) == out.size();
-  std::fclose(f);
-  if (ok) std::printf("\n[json] results written to %s\n", path.c_str());
-  return ok;
+std::string JsonResultWriter::write() const {
+  json::Value body = json::Value::object();
+  body.set("meta", meta_);
+  body.set("results", results_);
+  const std::string path = artifact::write(artifact::Kind::kBench, name_, body);
+  if (!path.empty()) std::printf("\n[json] results written to %s\n", path.c_str());
+  return path;
 }
 
 }  // namespace revft::benchutil

@@ -5,30 +5,31 @@
 // columns), emits a machine-readable BENCH_<name>.json results file,
 // then runs its google-benchmark kernel timings.
 //
-// Environment knobs:
-//   REVFT_TRIALS   — Monte-Carlo trials per data point (default differs
-//                    per bench; raise it for tighter error bars).
-//   REVFT_SEED     — master seed (default 0xD5A2005).
+// Environment knobs (decimal integers only — anything else throws
+// revft::Error naming the variable; see support/env.h):
+//   REVFT_TRIALS   — Monte-Carlo trials per data point, >= 1 (default
+//                    differs per bench; raise it for tighter error
+//                    bars).
+//   REVFT_SEED     — master seed (default 224010245 = 0xD5A2005).
 //   REVFT_THREADS  — worker threads for the sharded Monte-Carlo engine
 //                    (default: hardware concurrency). Never changes the
 //                    estimates, only wall-clock time.
-//   REVFT_JSON_DIR — directory for BENCH_*.json files (default ".";
-//                    empty string disables emission).
+//   REVFT_JSON_DIR — directory for the JSON artifacts (default ".";
+//                    empty string disables emission; see
+//                    support/artifact.h).
 #pragma once
 
 #include <cstdint>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "support/json.h"
 
 namespace revft::benchutil {
 
-/// Monte-Carlo trial count: REVFT_TRIALS or `fallback`.
+/// Monte-Carlo trial count: REVFT_TRIALS (>= 1) or `fallback`.
 std::uint64_t trials_from_env(std::uint64_t fallback);
 
-/// Master seed: REVFT_SEED or 0xD5A2005.
+/// Master seed: REVFT_SEED (0 allowed) or 0xD5A2005.
 std::uint64_t seed_from_env();
 // (REVFT_THREADS is read by the engine itself — resolve_thread_count
 // in noise/parallel_mc.h — whenever a config leaves threads at 0.)
@@ -53,66 +54,40 @@ const char* target_isa();
 void stamp_run_meta(JsonResultWriter& json, std::uint64_t trials,
                     std::uint64_t seed, unsigned lane_words = 1);
 
-/// Collects named scalar results and writes them as
-/// REVFT_JSON_DIR/BENCH_<name>.json so successive PRs accumulate a
-/// machine-readable perf/accuracy trajectory. Values are grouped into
-/// sections:
+/// Collects named results and writes them as BENCH_<name>.json through
+/// support/artifact (Kind::kBench), so successive PRs accumulate a
+/// machine-readable perf/accuracy trajectory. The body groups values
+/// into sections after the provenance envelope:
 ///
 ///   {
-///     "bench": "fig2_threshold",
+///     "kind": "bench", "name": "fig2_threshold", "provenance": {...},
 ///     "meta":    {"trials": 1000000, ...},
 ///     "results": {"noisy_init": {"pseudo_threshold": 0.021, ...}, ...}
 ///   }
 ///
-/// write() is idempotent and also runs from the destructor, so a bench
-/// can simply construct one recorder, add values, and exit.
+/// Values are json::Values: 64-bit integers stay exact (a double would
+/// silently round seeds above 2^53), doubles print round-trip and
+/// non-finite ones become null.
 class JsonResultWriter {
  public:
   /// `name` is the bench identifier, e.g. "fig2_threshold".
   explicit JsonResultWriter(std::string name);
-  ~JsonResultWriter();
-
-  JsonResultWriter(const JsonResultWriter&) = delete;
-  JsonResultWriter& operator=(const JsonResultWriter&) = delete;
 
   /// Record one run-configuration value (trials, seed, threads, ...).
-  /// The integer overload keeps 64-bit values (seeds!) exact — a
-  /// double would silently round anything above 2^53. The string
-  /// overload emits a JSON string (provenance labels). Every writer is
-  /// pre-stamped with "git_sha" and "compiler" (via
-  /// support/provenance, the same stamp REPORT_*.json carries) so a
-  /// results file can always be attributed to a build.
-  void meta(const std::string& key, double value);
-  void meta(const std::string& key, std::uint64_t value);
-  void meta(const std::string& key, const std::string& value);
-  /// Record a structured value (object/array) — e.g. a per-rail count
-  /// vector or a nested telemetry snapshot — under meta.
-  void meta(const std::string& key, const json::Value& value);
+  void meta(const std::string& key, json::Value value);
   /// Record one measured value under `section`.
-  void add(const std::string& section, const std::string& key, double value);
   void add(const std::string& section, const std::string& key,
-           std::uint64_t value);
-  /// Structured result value: arrays and nested objects land in the
-  /// section verbatim (json::Value::array()/object()).
-  void add(const std::string& section, const std::string& key,
-           const json::Value& value);
+           json::Value value);
 
-  /// Write BENCH_<name>.json. Returns false (silently — benches must
-  /// still print their tables) when emission is disabled or the file
-  /// cannot be written. Subsequent calls are no-ops.
-  bool write();
+  /// Write BENCH_<name>.json and return its path ("" when
+  /// REVFT_JSON_DIR="" disables emission). Throws revft::Error when
+  /// the file cannot be written.
+  std::string write() const;
 
  private:
-  // Values are stored pre-formatted as JSON number tokens so doubles
-  // and 64-bit integers coexist losslessly.
-  using Entries = std::vector<std::pair<std::string, std::string>>;
-  using Section = std::pair<std::string, Entries>;
-  Entries* section(const std::string& name);
-
   std::string name_;
-  Entries meta_;
-  std::vector<Section> sections_;
-  bool written_ = false;
+  json::Value meta_ = json::Value::object();
+  json::Value results_ = json::Value::object();
 };
 
 }  // namespace revft::benchutil

@@ -81,6 +81,7 @@ void print_reproduction() {
                  measured <= bound ? "yes" : "NO"});
   }
   std::printf("\nat g = %.0e (below threshold):\n%s", g, rec.str().c_str());
+  json.write();
 }
 
 void BM_ConcatCompileLevel2(benchmark::State& state) {

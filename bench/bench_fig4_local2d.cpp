@@ -153,6 +153,7 @@ void print_monte_carlo() {
       "logical error sits above the non-local scheme's at the same g and its\n"
       "threshold is lower (1/273 vs 1/108 in paper accounting) — the measured\n"
       "ratio reflects the (14/9)^2 ~ 2.4x accounting prediction loosely.\n");
+  json.write();
 }
 
 void BM_Cycle2dMc(benchmark::State& state) {

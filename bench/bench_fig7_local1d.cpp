@@ -194,6 +194,7 @@ void print_monte_carlo() {
       "same cycle under the checked engine (parity rail + recovery-boundary\n"
       "zero checks): every linear-term fault is flagged, so post-selection\n"
       "restores a quadratic silent-error floor — see bench_local_checked.\n");
+  json.write();
 }
 
 void BM_Cycle1dMc(benchmark::State& state) {

@@ -40,6 +40,7 @@
 #include "local/program_cache.h"
 #include "noise/lanes.h"
 #include "rev/gate.h"
+#include "support/artifact.h"
 #include "support/table.h"
 #include "telemetry/stream.h"
 
@@ -70,14 +71,19 @@ std::string g_label(double g) {
   return buf;
 }
 
+/// CONV_<name>.json (with `bars`, an object of *_within_* acceptance
+/// bars telemetry_check --enforce-bars gates on, embedded as "bars"
+/// when non-null), plus the TRACE_<name>_conv.json counter series when
+/// `chrome` is set.
 void write_artifacts(const telemetry::ConvergenceTrajectory& traj,
                      const json::Value* bars, bool chrome) {
-  const std::string conv = telemetry::write_convergence_json(traj, bars);
-  if (conv.empty() || !chrome) return;
-  std::string trace = conv;
-  trace.replace(trace.rfind("CONV_"), 5, "TRACE_");
-  trace.replace(trace.size() - 5, 5, "_conv.json");
-  telemetry::write_convergence_chrome_trace(traj, traj.name, trace);
+  json::Value conv = traj.to_json();
+  if (bars != nullptr) conv.set("bars", *bars);
+  if (artifact::write(artifact::Kind::kConv, traj.name, conv).empty() ||
+      !chrome)
+    return;
+  artifact::write(artifact::Kind::kTrace, traj.name + "_conv",
+                  telemetry::convergence_chrome_json(traj, traj.name));
 }
 
 // --- 1. trials saved at equal target interval width -------------------

@@ -73,6 +73,7 @@ void print_reproduction() {
                 }
                 return "yes";
               }());
+  json.write();
 }
 
 // --- kernels ---------------------------------------------------------

@@ -75,6 +75,7 @@ void print_reproduction() {
       "encoding means no single physical fault can corrupt a whole code bit\n"
       "of two codewords at once, restoring the quadratic scaling Table 2\n"
       "assumes.\n");
+  json.write();
 }
 
 void BM_MixingTable(benchmark::State& state) {

@@ -30,7 +30,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <ctime>
 #include <string>
 #include <vector>
@@ -45,6 +44,7 @@
 #include "local/program_cache.h"
 #include "recover/plan.h"
 #include "recover/recovering_mc.h"
+#include "support/artifact.h"
 #include "support/table.h"
 #include "telemetry/chrome_trace.h"
 #include "telemetry/report.h"
@@ -73,16 +73,6 @@ Circuit census_workload() {
   Circuit logical(3);
   logical.toffoli(2, 1, 0).maj(0, 1, 2);
   return logical;
-}
-
-/// TRACE_<name>.json path under the bench JSON contract ("" disables).
-std::string trace_output_path(const std::string& name) {
-  std::string dir = ".";
-  if (const char* env = std::getenv("REVFT_JSON_DIR")) {
-    if (*env == '\0') return {};
-    dir = env;
-  }
-  return dir + "/TRACE_" + name + ".json";
 }
 
 // --- 1. hook overhead -------------------------------------------------
@@ -419,6 +409,23 @@ bool ranking_matches(const std::vector<std::uint64_t>& census,
   return true;
 }
 
+/// REPORT_<report.name>.json, plus TRACE_<report.name>.json (a Chrome
+/// trace of `trace` Perfetto opens) when `export_chrome` is set.
+void write_profile(const telemetry::RunReport& report,
+                   const telemetry::Trace& trace, bool export_chrome,
+                   const std::string& process_name) {
+  const std::string report_path =
+      artifact::write(artifact::Kind::kReport, report.name, report.to_json());
+  if (report_path.empty()) return;
+  std::printf("[json] report written to %s\n", report_path.c_str());
+  if (!export_chrome) return;
+  const std::string trace_path =
+      artifact::write(artifact::Kind::kTrace, report.name,
+                      telemetry::chrome_trace_json(trace, process_name));
+  std::printf("[json] chrome trace written to %s (open in Perfetto)\n",
+              trace_path.c_str());
+}
+
 bool profile_machine(const char* label, const CheckedMachineProgram& program,
                      const Circuit& logical, benchutil::JsonResultWriter& json,
                      bool export_chrome) {
@@ -483,19 +490,8 @@ bool profile_machine(const char* label, const CheckedMachineProgram& program,
     hot.push_back(static_cast<std::uint64_t>(r));
   json.add(std::string(label) + "_profile", "hot_rails", hot);
 
-  const std::string report_path = telemetry::write_run_report(report);
-  if (!report_path.empty())
-    std::printf("[json] report written to %s\n", report_path.c_str());
-  if (export_chrome) {
-    const std::string trace_path =
-        trace_output_path(std::string("telemetry_") + label);
-    if (!trace_path.empty()) {
-      telemetry::write_chrome_trace(
-          trace, std::string("bench_telemetry ") + label, trace_path);
-      std::printf("[json] chrome trace written to %s (open in Perfetto)\n",
-                  trace_path.c_str());
-    }
-  }
+  write_profile(report, trace, export_chrome,
+                std::string("bench_telemetry ") + label);
   return match;
 }
 
@@ -565,16 +561,8 @@ void print_recovery_profile(benchutil::JsonResultWriter& json) {
   json.add("recover_profile", "replay_ops_total", replay_ops_total);
   json.add("recover_profile", "events_emitted", trace.emitted());
 
-  const std::string report_path = telemetry::write_run_report(report);
-  if (!report_path.empty())
-    std::printf("[json] report written to %s\n", report_path.c_str());
-  const std::string trace_path = trace_output_path("telemetry_recover_1d");
-  if (!trace_path.empty()) {
-    telemetry::write_chrome_trace(trace, "bench_telemetry recover_1d",
-                                  trace_path);
-    std::printf("[json] chrome trace written to %s (open in Perfetto)\n",
-                trace_path.c_str());
-  }
+  write_profile(report, trace, /*export_chrome=*/true,
+                "bench_telemetry recover_1d");
 }
 
 // --- google-benchmark kernels -----------------------------------------

@@ -31,6 +31,7 @@
 #include "ft/recover_experiment.h"
 #include "local/checked_machine.h"
 #include "recover/retry.h"
+#include "support/artifact.h"
 #include "telemetry/stream.h"
 
 using namespace revft;
@@ -67,16 +68,13 @@ void finish(const telemetry::ConvergenceTrajectory& traj) {
   std::printf("wall: %.3f s over %zu rounds\n", traj.wall.total_seconds(),
               traj.wall.round_seconds.size());
 
-  const std::string conv = telemetry::write_convergence_json(traj);
+  const std::string conv =
+      artifact::write(artifact::Kind::kConv, traj.name, traj.to_json());
   if (!conv.empty()) {
     std::printf("wrote %s\n", conv.c_str());
-    // The Chrome counter series rides the TRACE_ contract so CI's one
-    // glob and telemetry_check's prefix dispatch both pick it up.
-    std::string trace = conv;
-    const std::size_t base = trace.rfind("CONV_");
-    trace.replace(base, 5, "TRACE_");
-    trace.replace(trace.size() - 5, 5, "_conv.json");
-    telemetry::write_convergence_chrome_trace(traj, traj.name, trace);
+    const std::string trace =
+        artifact::write(artifact::Kind::kTrace, traj.name + "_conv",
+                        telemetry::convergence_chrome_json(traj, traj.name));
     std::printf("wrote %s\n", trace.c_str());
   }
 }

@@ -3,12 +3,14 @@
 // Usage:  telemetry_check [--enforce-bars [--bars-matching SUBSTR]] FILE...
 //
 // Every file is parsed with the strict json::parse (duplicate keys and
-// trailing garbage rejected) and then structurally validated according
-// to its basename prefix:
+// trailing garbage rejected), then its envelope is checked once (see
+// support/artifact.h): a "kind" naming one of the four artifact kinds,
+// whose prefix the file's basename must carry, a "name" string and a
+// "provenance" object with the git_sha/compiler strings. The body is
+// then validated according to the kind:
 //
-//   * BENCH_*.json   — bench_common's JsonResultWriter layout: "bench"
-//     string, "meta" object carrying the git_sha/compiler provenance
-//     stamp, non-empty "results" object of objects;
+//   * BENCH_*.json   — bench_common's JsonResultWriter layout: "meta"
+//     object, non-empty "results" object of objects;
 //   * REPORT_*.json  — telemetry::RunReport::to_json(): rail table,
 //     hot_rails permutation of the rail indices, segment table,
 //     event accounting, metrics snapshot;
@@ -37,21 +39,25 @@
 // profiled anything" have to stay distinguishable. An unreadable file
 // is always a failure, with or without bars.
 //
-// Exit status: 0 when every file checks out, 1 otherwise. Unknown
-// prefixes are an error — a typo'd artifact name should fail CI, not
-// silently skip validation.
+// Exit status: 0 when every file checks out, 1 otherwise. An unknown
+// kind, or a basename whose prefix disagrees with the kind, is an
+// error — a typo'd artifact name should fail CI, not silently skip
+// validation.
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "support/artifact.h"
 #include "support/json.h"
 
 using revft::json::ParseResult;
 using revft::json::Value;
 using Kind = revft::json::Kind;
+namespace artifact = revft::artifact;
 
 namespace {
 
@@ -94,17 +100,37 @@ const Value* need_uint(const std::string& file, const Value& obj,
   return v;
 }
 
-void check_provenance(const std::string& file, const Value& obj) {
-  need(file, obj, "git_sha", Kind::kString);
-  need(file, obj, "compiler", Kind::kString);
+// -------------------------------------------------------------- envelope
+
+/// The kind the envelope names, or nullopt (after a diagnostic) when
+/// "kind" is missing or unknown or the basename's prefix disagrees.
+std::optional<artifact::Kind> check_envelope(const std::string& file,
+                                             const Value& doc) {
+  need(file, doc, "name", Kind::kString);
+  if (const Value* prov = need(file, doc, "provenance", Kind::kObject)) {
+    need(file, *prov, "git_sha", Kind::kString);
+    need(file, *prov, "compiler", Kind::kString);
+  }
+  const Value* kind = need(file, doc, "kind", Kind::kString);
+  if (kind == nullptr) return std::nullopt;
+  for (const artifact::Kind k : {artifact::Kind::kBench, artifact::Kind::kReport,
+                                 artifact::Kind::kTrace, artifact::Kind::kConv}) {
+    if (kind->as_string() != artifact::kind_name(k)) continue;
+    const std::string prefix = artifact::kind_prefix(k);
+    if (basename_of(file).rfind(prefix, 0) == 0) return k;
+    fail(file, "kind \"" + kind->as_string() + "\" needs the basename prefix " +
+                   prefix);
+    return std::nullopt;
+  }
+  fail(file, "unknown kind \"" + kind->as_string() +
+                 "\" (expected bench/report/trace/conv)");
+  return std::nullopt;
 }
 
 // ---------------------------------------------------------------- BENCH_
 
 void check_bench(const std::string& file, const Value& doc) {
-  need(file, doc, "bench", Kind::kString);
-  if (const Value* meta = need(file, doc, "meta", Kind::kObject))
-    check_provenance(file, *meta);
+  need(file, doc, "meta", Kind::kObject);
   const Value* results = need(file, doc, "results", Kind::kObject);
   if (results == nullptr) return;
   if (results->members().empty())
@@ -117,8 +143,6 @@ void check_bench(const std::string& file, const Value& doc) {
 // --------------------------------------------------------------- REPORT_
 
 void check_report(const std::string& file, const Value& doc, bool bars) {
-  need(file, doc, "name", Kind::kString);
-  check_provenance(file, doc);
   need_uint(file, doc, "trials");
   need_uint(file, doc, "seed");
   need(file, doc, "source", Kind::kString);
@@ -215,8 +239,6 @@ const Value* need_number(const std::string& file, const Value& obj,
 }
 
 void check_conv(const std::string& file, const Value& doc) {
-  need(file, doc, "name", Kind::kString);
-  check_provenance(file, doc);
   need(file, doc, "engine", Kind::kString);
 
   if (const Value* key = need(file, doc, "determinism_key", Kind::kObject)) {
@@ -342,18 +364,21 @@ void check_file(const std::string& path, bool bars) {
     return;
   }
 
-  const std::string base = basename_of(path);
-  if (base.rfind("BENCH_", 0) == 0) {
-    check_bench(path, parsed.value);
-  } else if (base.rfind("REPORT_", 0) == 0) {
-    check_report(path, parsed.value, bars);
-  } else if (base.rfind("TRACE_", 0) == 0) {
-    check_trace(path, parsed.value);
-  } else if (base.rfind("CONV_", 0) == 0) {
-    check_conv(path, parsed.value);
-  } else {
-    fail(path, "unknown artifact prefix (expected BENCH_/REPORT_/TRACE_/CONV_)");
-    return;
+  const std::optional<artifact::Kind> kind = check_envelope(path, parsed.value);
+  if (!kind) return;
+  switch (*kind) {
+    case artifact::Kind::kBench:
+      check_bench(path, parsed.value);
+      break;
+    case artifact::Kind::kReport:
+      check_report(path, parsed.value, bars);
+      break;
+    case artifact::Kind::kTrace:
+      check_trace(path, parsed.value);
+      break;
+    case artifact::Kind::kConv:
+      check_conv(path, parsed.value);
+      break;
   }
   if (bars) enforce_bars(path, "", parsed.value);
 }

@@ -1,16 +1,13 @@
 #include "noise/parallel_mc.h"
 
 #include <algorithm>
-#include <charconv>
 #include <condition_variable>
-#include <cstdlib>
-#include <cstring>
 #include <exception>
 #include <limits>
 #include <mutex>
-#include <string>
 #include <thread>
 
+#include "support/env.h"
 #include "support/error.h"
 #include "support/rng.h"
 
@@ -43,17 +40,9 @@ std::vector<McShard> plan_shards(std::uint64_t trials, std::uint64_t master_seed
 
 int resolve_thread_count(int requested) {
   if (requested > 0) return requested;
-  if (const char* env = std::getenv("REVFT_THREADS")) {
-    // Decimal digits only: from_chars takes no '+', base prefix or
-    // space, a '-' leaves parsed < 1, and trailing text stops it early.
-    const char* end = env + std::strlen(env);
-    int parsed = 0;
-    const auto [stop, ec] = std::from_chars(env, end, parsed);
-    if (ec != std::errc() || stop != end || parsed < 1)
-      throw Error(std::string("REVFT_THREADS=\"") + env +
-                  "\": expected a positive decimal thread count");
-    return parsed;
-  }
+  if (const auto threads = env::decimal("REVFT_THREADS", 1,
+                                        std::numeric_limits<int>::max()))
+    return static_cast<int>(*threads);
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? static_cast<int>(hw) : 1;
 }

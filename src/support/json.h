@@ -1,10 +1,12 @@
 // revft/support/json.h
 //
 // Minimal ordered JSON document model shared by every emitter in the
-// repo: the bench result files (bench/bench_common's JsonResultWriter
-// builds its nested sections on it), the telemetry RunReport and
-// Chrome-trace exporters (src/telemetry/), and the validation side of
-// the same pipeline (examples/telemetry_check, the golden-file tests).
+// repo: every artifact body (bench/bench_common's JsonResultWriter,
+// the telemetry RunReport, convergence and Chrome-trace exporters in
+// src/telemetry/) is a json::Value that support/artifact wraps in the
+// provenance envelope and writes, and the validation side of the same
+// pipeline (examples/telemetry_check, the golden-file tests) parses it
+// back.
 //
 // Design constraints, in order:
 //   * ORDERED objects — keys serialize in insertion order, so emitted
@@ -77,6 +79,9 @@ class Value {
   /// absent. Calling on a non-object is a programming error (checked).
   Value& set(const std::string& key, Value value);
   const Value* find(const std::string& key) const noexcept;
+  Value* find(const std::string& key) noexcept {
+    return const_cast<Value*>(std::as_const(*this).find(key));
+  }
   const std::vector<Member>& members() const noexcept { return members_; }
 
   /// Array element access.

@@ -1,10 +1,6 @@
 #include "telemetry/chrome_trace.h"
 
 #include <algorithm>
-#include <fstream>
-
-#include "support/error.h"
-#include "support/provenance.h"
 
 namespace revft::telemetry {
 
@@ -59,19 +55,10 @@ json::Value chrome_trace_json(const Trace& trace,
   doc.set("traceEvents", std::move(events));
   doc.set("displayTimeUnit", "ms");
   json::Value other = json::Value::object();
-  other.set("git_sha", provenance::git_sha());
   other.set("emitted", trace.emitted());
   other.set("dropped", trace.dropped());
   doc.set("otherData", std::move(other));
   return doc;
-}
-
-void write_chrome_trace(const Trace& trace, const std::string& process_name,
-                        const std::string& path) {
-  std::ofstream out(path);
-  REVFT_CHECK_MSG(out.good(), "cannot open trace file " << path);
-  out << chrome_trace_json(trace, process_name).dump(2) << '\n';
-  REVFT_CHECK_MSG(out.good(), "failed writing trace file " << path);
 }
 
 }  // namespace revft::telemetry

@@ -25,13 +25,10 @@ namespace revft::telemetry {
 
 /// Build the Chrome trace-event document ({"traceEvents": [...]}).
 /// `process_name` labels the single process track (e.g. the bench
-/// name).
+/// name). Written as TRACE_<name>.json by support/artifact
+/// (Kind::kTrace), whose envelope keys sit beside traceEvents — the
+/// Trace Event Format reads extra top-level keys as metadata.
 json::Value chrome_trace_json(const Trace& trace,
                               const std::string& process_name);
-
-/// Serialize chrome_trace_json() to `path`. Throws revft::Error when
-/// the file cannot be written.
-void write_chrome_trace(const Trace& trace, const std::string& process_name,
-                        const std::string& path);
 
 }  // namespace revft::telemetry

@@ -20,8 +20,11 @@
 // dashboard plots and examples/telemetry_check validates (strict
 // parse, monotone trials, sound half-width monotonicity, bar
 // enforcement) — plus an optional Chrome-trace counter series
-// (ph:"C") so Perfetto can graph rate/half-width against the round
-// timeline next to the event stream.
+// (ph:"C", TRACE_<name>_conv.json) so Perfetto can graph
+// rate/half-width against the round timeline next to the event
+// stream. Both are written by support/artifact (Kind::kConv /
+// Kind::kTrace), which wraps the bodies built here in the provenance
+// envelope.
 #pragma once
 
 #include <cstdint>
@@ -162,24 +165,11 @@ struct ConvergenceTrajectory {
   /// comparison the REVFT_THREADS determinism tests use.
   bool deterministic_equal(const ConvergenceTrajectory& other) const noexcept;
 
-  /// The CONV document (deterministic payload + the wall summary,
-  /// provenance-stamped like every artifact in the repo).
+  /// The CONV body (deterministic payload + the wall summary); write
+  /// it with support/artifact's Kind::kConv, which adds the
+  /// provenance envelope.
   json::Value to_json() const;
 };
-
-/// Where write_convergence_json puts its file:
-/// $REVFT_JSON_DIR/CONV_<name>.json (current directory when unset;
-/// REVFT_JSON_DIR="" disables emission) — the BENCH_/REPORT_/TRACE_
-/// contract, so CI collects everything with one glob.
-std::string convergence_output_path(const std::string& name);
-
-/// Serialize trajectory.to_json() to convergence_output_path(name);
-/// `bars` (nullable, an object of *_within_* acceptance-bar keys) is
-/// embedded as "bars" so telemetry_check --enforce-bars can gate on
-/// it. Returns the path written ("" when emission is disabled).
-/// Throws revft::Error on I/O failure.
-std::string write_convergence_json(const ConvergenceTrajectory& trajectory,
-                                   const json::Value* bars = nullptr);
 
 /// Chrome trace-event counter series ({"traceEvents": [...]}) over the
 /// snapshot timeline: the ph:"M" process_name record followed by
@@ -188,11 +178,5 @@ std::string write_convergence_json(const ConvergenceTrajectory& trajectory,
 /// untimed branch of chrome_trace.h, so the file golden-tests cleanly.
 json::Value convergence_chrome_json(const ConvergenceTrajectory& trajectory,
                                     const std::string& process_name);
-
-/// Serialize convergence_chrome_json() to `path`. Throws revft::Error
-/// when the file cannot be written.
-void write_convergence_chrome_trace(const ConvergenceTrajectory& trajectory,
-                                    const std::string& process_name,
-                                    const std::string& path);
 
 }  // namespace revft::telemetry

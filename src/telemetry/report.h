@@ -21,10 +21,10 @@
 //     localized segment replays more than 1/B of its ops;
 //   * the merged metrics registry and event-stream accounting.
 //
-// Everything in the exported JSON is derived from deterministic
-// payloads, so REPORT_<name>.json is bit-identical across
-// REVFT_THREADS for a fixed seed (the git-SHA stamp aside, across
-// commits).
+// Everything in to_json() is derived from deterministic payloads, so
+// the body of REPORT_<name>.json (written by support/artifact with
+// Kind::kReport, inside the provenance envelope) is bit-identical
+// across REVFT_THREADS for a fixed seed.
 #pragma once
 
 #include <cstdint>
@@ -71,7 +71,6 @@ struct RunReport {
   std::string name;
   std::uint64_t trials = 0;
   std::uint64_t seed = 0;
-  int threads = 0;
   /// Which per-rail counter filled the rail table: "rail_events"
   /// (recovery run) or "rail_detected" (detection run).
   std::string source;
@@ -100,16 +99,5 @@ RunReport build_run_report(const std::string& name,
                            const recover::RecoveryEstimate* recovery,
                            const recover::SegmentPlan* plan,
                            const Trace* trace);
-
-/// Where write_run_report puts its file: $REVFT_JSON_DIR/REPORT_<name>.json
-/// (current directory when the variable is unset; empty string when
-/// REVFT_JSON_DIR="" disables emission) — the same contract as the
-/// bench JSON files, so CI collects both with one glob.
-std::string report_output_path(const std::string& name);
-
-/// Serialize report.to_json() to report_output_path(report.name).
-/// Returns the path written ("" when emission is disabled). Throws
-/// revft::Error on I/O failure.
-std::string write_run_report(const RunReport& report);
 
 }  // namespace revft::telemetry

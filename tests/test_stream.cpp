@@ -474,8 +474,8 @@ TEST(StreamArtifacts, ConvergenceJsonParsesStrictlyWithTheExpectedKeys) {
   ASSERT_TRUE(parsed.ok) << parsed.error;
   const json::Value& doc = parsed.value;
   for (const char* key :
-       {"name", "git_sha", "compiler", "engine", "determinism_key", "policy",
-        "snapshots", "stop", "wall"})
+       {"name", "engine", "determinism_key", "policy", "snapshots", "stop",
+        "wall"})
     EXPECT_NE(doc.find(key), nullptr) << key;
   EXPECT_EQ(doc.find("engine")->as_string(), "plain");
   const json::Value* stop = doc.find("stop");

@@ -1,13 +1,24 @@
 // Unit tests for the support layer: RNG determinism and statistical
 // sanity, running statistics, Wilson intervals, entropy math, exact
-// integer helpers, and the table formatter.
+// integer helpers, the table formatter, the strict environment-knob
+// parser and the artifact writer.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <optional>
+#include <sstream>
+#include <string>
 
+#include "support/artifact.h"
 #include "support/entropy_math.h"
+#include "support/env.h"
 #include "support/error.h"
+#include "support/json.h"
 #include "support/mathutil.h"
 #include "support/rng.h"
 #include "support/stats.h"
@@ -281,6 +292,183 @@ TEST(Table, NumericFormatters) {
   EXPECT_EQ(AsciiTable::reciprocal(1.0 / 2340.0), "1/2340");
   const std::string s = AsciiTable::sci(0.000123, 2);
   EXPECT_NE(s.find("1.23e"), std::string::npos) << s;
+}
+
+// --- env -----------------------------------------------------------------
+
+/// Sets (or, with nullptr, unsets) one environment variable for a
+/// scope, restoring the previous value.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    if (const char* old = std::getenv(name)) saved_ = old;
+    if (value != nullptr)
+      setenv(name, value, 1);
+    else
+      unsetenv(name);
+  }
+  ~ScopedEnv() {
+    if (saved_)
+      setenv(name_, saved_->c_str(), 1);
+    else
+      unsetenv(name_);
+  }
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+ private:
+  const char* name_;
+  std::optional<std::string> saved_;
+};
+
+TEST(EnvDecimal, UnsetIsNulloptAndDigitsParseInDecimal) {
+  {
+    const ScopedEnv env("REVFT_TRIALS", nullptr);
+    EXPECT_EQ(env::decimal("REVFT_TRIALS", 1), std::nullopt);
+  }
+  {
+    const ScopedEnv env("REVFT_TRIALS", "010");  // decimal, not octal
+    EXPECT_EQ(env::decimal("REVFT_TRIALS", 1), 10u);
+  }
+  {
+    const ScopedEnv env("REVFT_SEED", "0");  // a seed may be 0
+    EXPECT_EQ(env::decimal("REVFT_SEED"), 0u);
+  }
+  {
+    const ScopedEnv env("REVFT_SEED", "18446744073709551615");
+    EXPECT_EQ(env::decimal("REVFT_SEED"), 18446744073709551615ull);
+  }
+}
+
+TEST(EnvDecimal, RejectsAnythingButADecimalInRange) {
+  // REVFT_TRIALS as bench_common reads it: trials >= 1.
+  for (const char* bad : {"12abc", "0x10", "abc", "-2", "+3", "", " 4", "4 ",
+                          "0", "99999999999999999999"}) {
+    const ScopedEnv env("REVFT_TRIALS", bad);
+    try {
+      env::decimal("REVFT_TRIALS", 1);
+      ADD_FAILURE() << "accepted REVFT_TRIALS=\"" << bad << "\"";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("REVFT_TRIALS"), std::string::npos)
+          << e.what();
+    }
+  }
+  const ScopedEnv env("REVFT_SEED", "0x10");
+  EXPECT_THROW(env::decimal("REVFT_SEED"), Error);
+}
+
+// --- artifact ------------------------------------------------------------
+
+/// A fresh directory under the system temp dir that REVFT_JSON_DIR
+/// points at for the scope; both are cleaned up afterwards.
+class ArtifactDir {
+ public:
+  ArtifactDir() : dir_(make_dir()), env_("REVFT_JSON_DIR", dir_.c_str()) {}
+  ~ArtifactDir() { std::filesystem::remove_all(dir_); }
+  ArtifactDir(const ArtifactDir&) = delete;
+  ArtifactDir& operator=(const ArtifactDir&) = delete;
+
+  const std::filesystem::path& path() const { return dir_; }
+
+ private:
+  static std::filesystem::path make_dir() {
+    std::string leaf = "revft_artifact_";
+    leaf += std::to_string(::getpid());
+    leaf += '_';
+    leaf += ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    const std::filesystem::path dir =
+        std::filesystem::temp_directory_path() / leaf;
+    std::filesystem::create_directories(dir);
+    return dir;
+  }
+
+  std::filesystem::path dir_;
+  ScopedEnv env_;
+};
+
+json::Value read_json(const std::string& path) {
+  std::ifstream in(path);
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  const json::ParseResult parsed = json::parse(buf.str());
+  EXPECT_TRUE(parsed.ok) << path << ": " << parsed.error;
+  return parsed.value;
+}
+
+TEST(Artifact, EveryKindLandsAtItsPrefixInsideTheEnvelope) {
+  const ArtifactDir dir;
+  const struct {
+    artifact::Kind kind;
+    const char* prefix;
+    const char* name;
+  } cases[] = {{artifact::Kind::kBench, "BENCH_", "bench"},
+               {artifact::Kind::kReport, "REPORT_", "report"},
+               {artifact::Kind::kTrace, "TRACE_", "trace"},
+               {artifact::Kind::kConv, "CONV_", "conv"}};
+  for (const auto& c : cases) {
+    json::Value body = json::Value::object();
+    body.set("payload", std::uint64_t{42});
+    body.set("rate", 0.25);
+    const std::string path = artifact::write(c.kind, "unit", body);
+    EXPECT_EQ(path, (dir.path() / (std::string(c.prefix) + "unit.json")).string());
+
+    const json::Value doc = read_json(path);
+    ASSERT_TRUE(doc.is_object());
+    const auto& members = doc.members();
+    ASSERT_EQ(members.size(), 5u);
+    EXPECT_EQ(members[0].first, "kind");
+    EXPECT_EQ(members[0].second.as_string(), c.name);
+    EXPECT_EQ(members[1].first, "name");
+    EXPECT_EQ(members[1].second.as_string(), "unit");
+    EXPECT_EQ(members[2].first, "provenance");
+    ASSERT_NE(members[2].second.find("git_sha"), nullptr);
+    EXPECT_FALSE(members[2].second.find("git_sha")->as_string().empty());
+    ASSERT_NE(members[2].second.find("compiler"), nullptr);
+    EXPECT_FALSE(members[2].second.find("compiler")->as_string().empty());
+    // The body's own keys follow, in order and unchanged.
+    EXPECT_EQ(members[3].first, "payload");
+    EXPECT_EQ(members[3].second.as_uint(), 42u);
+    EXPECT_EQ(members[4].first, "rate");
+    EXPECT_EQ(members[4].second.as_double(), 0.25);
+  }
+}
+
+TEST(Artifact, BodyNameMustAgreeAndEnvelopeKeysAreReserved) {
+  const ArtifactDir dir;
+  json::Value body = json::Value::object();
+  body.set("name", "unit");
+  body.set("x", 1);
+  const json::Value doc =
+      read_json(artifact::write(artifact::Kind::kReport, "unit", body));
+  ASSERT_EQ(doc.members().size(), 4u);  // "name" keeps the envelope slot
+  EXPECT_EQ(doc.members()[3].first, "x");
+
+  EXPECT_THROW(artifact::write(artifact::Kind::kReport, "other", body), Error);
+  json::Value kind = json::Value::object();
+  kind.set("kind", "conv");
+  EXPECT_THROW(artifact::write(artifact::Kind::kReport, "unit", kind), Error);
+}
+
+TEST(Artifact, EmptyJsonDirWritesNothing) {
+  const ArtifactDir dir;
+  const ScopedEnv disabled("REVFT_JSON_DIR", "");
+  EXPECT_EQ(artifact::write(artifact::Kind::kConv, "unit", json::Value::object()),
+            "");
+  EXPECT_TRUE(std::filesystem::is_empty(dir.path()));
+}
+
+TEST(Artifact, MissingDirectoryThrowsNamingThePath) {
+  const ArtifactDir dir;
+  const std::string missing = (dir.path() / "no_such_dir").string();
+  const ScopedEnv env("REVFT_JSON_DIR", missing.c_str());
+  try {
+    artifact::write(artifact::Kind::kBench, "unit", json::Value::object());
+    ADD_FAILURE() << "wrote into a missing directory";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(missing + "/BENCH_unit.json"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace
