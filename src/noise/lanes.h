@@ -141,4 +141,13 @@ class LaneMask {
   unsigned n_;
 };
 
+/// Call f(lane) for every set lane of `mask`, in ascending order — one
+/// countr_zero per set lane instead of a test() per batch lane.
+template <typename F>
+void for_each_lane(const LaneMask& mask, F&& f) {
+  for (unsigned w = 0; w < mask.words(); ++w)
+    for (std::uint64_t bits = mask.word(w); bits != 0; bits &= bits - 1)
+      f(64 * w + static_cast<unsigned>(std::countr_zero(bits)));
+}
+
 }  // namespace revft

@@ -97,4 +97,41 @@ void blend_cells_lanes(PackedState& dst, const PackedState& src,
                        const std::vector<std::uint32_t>& cells,
                        const LaneMask& lane_mask);
 
+// --- lane compaction ---------------------------------------------------
+//
+// A retry that serves only a few lanes of a wide batch runs in a
+// narrower state: lane j of the narrow state stands for batch lane
+// lanes[j] (a lane index list, ascending as lane_indices() builds it).
+// Gathers read a checkpoint of the wide batch; scatters write accepted
+// narrow lanes back into the wide state. Pure bit moves, like the
+// blends.
+
+/// The set lanes of `mask` in ascending order, written over `out` — the
+/// lane index list the gathers and scatters below take.
+void lane_indices(const LaneMask& mask, std::vector<std::uint16_t>& out);
+
+/// For every cell in `cells`: lane j of `dst` takes lane lanes[j] of
+/// `src` for j < lanes.size(), and dst's remaining lanes of the cell
+/// are cleared. Cells not listed keep their values. Requires
+/// lanes.size() <= dst.lanes() and equal widths.
+void gather_cells_lanes(PackedState& dst, const PackedCheckpoint& src,
+                        const std::vector<std::uint32_t>& cells,
+                        const std::vector<std::uint16_t>& lanes);
+/// gather_cells_lanes over every cell.
+void gather_lanes(PackedState& dst, const PackedCheckpoint& src,
+                  const std::vector<std::uint16_t>& lanes);
+
+/// For every cell in `cells` and every narrow lane j set in `accept`
+/// (a mask at src's lane_words, j < lanes.size()): lane lanes[j] of
+/// `dst` takes lane j of `src`. Every other lane and cell of dst keeps
+/// its value — the compacted counterpart of blend_cells_lanes.
+void scatter_cells_lanes(PackedState& dst, const PackedState& src,
+                         const std::vector<std::uint32_t>& cells,
+                         const std::vector<std::uint16_t>& lanes,
+                         const LaneMask& accept);
+/// scatter_cells_lanes over every cell (the compacted blend_lanes).
+void scatter_lanes(PackedState& dst, const PackedState& src,
+                   const std::vector<std::uint16_t>& lanes,
+                   const LaneMask& accept);
+
 }  // namespace revft::recover

@@ -319,8 +319,12 @@ SegmentPlan build_segment_plan(const detect::CheckedCircuit& checked) {
       comp.cells.erase(std::unique(comp.cells.begin(), comp.cells.end()),
                        comp.cells.end());
     }
+    // The packed engine keeps a lane's fired components in one word.
     REVFT_CHECK_MSG(seg.components.size() <= 64,
-                    "build_segment_plan: more than 64 components per segment");
+                    "build_segment_plan: segment " << plan.segments.size()
+                        << " (ops " << seg.begin << ".." << seg.end << ") has "
+                        << seg.components.size()
+                        << " replay components; at most 64 are supported");
     // Sorted-unique contract: lint findings and REPORT JSON emit this
     // list verbatim, so an op that straddles via both an operand span
     // and a shared cell must appear once.

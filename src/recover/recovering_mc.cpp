@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <bit>
-#include <map>
+#include <utility>
 #include <vector>
 
 #include "recover/checkpoint.h"
@@ -169,6 +169,87 @@ void eval_boundary(const detect::CheckedCircuit& checked, const Segment& seg,
   }
 }
 
+/// Re-run the ops of the components in `set` on `s` in original order
+/// (one noisy gate at a time, fresh masks); returns the op count. A
+/// single-component set walks the component's own op list, the same
+/// ops in the same order the component_of_op scan visits.
+std::uint64_t replay_components(PackedSimulator& sim, PackedState& s,
+                                const Circuit& circuit, const Segment& seg,
+                                std::uint64_t set) {
+  if (std::has_single_bit(set)) {
+    const auto& ops =
+        seg.components[static_cast<std::size_t>(std::countr_zero(set))].ops;
+    for (const std::size_t pos : ops) sim.apply_noisy(s, circuit.op(pos));
+    return ops.size();
+  }
+  std::uint64_t replayed = 0;
+  for (std::size_t k = 0; k < seg.component_of_op.size(); ++k) {
+    if (!((set >> seg.component_of_op[k]) & 1ULL)) continue;
+    sim.apply_noisy(s, circuit.op(seg.begin + k));
+    ++replayed;
+  }
+  return replayed;
+}
+
+/// Lane compaction of the retry paths. A replay group's consumers, or a
+/// restart pass's pending lanes, that fit a narrower lane width run in
+/// a preallocated narrow state — narrow lane j stands for batch lane
+/// lanes()[j] — so the replay draws masks and runs kernels over 64·nw
+/// lanes instead of 64·W. Only widths below the batch's exist: at W = 1
+/// (and whenever the lanes need the full width) fit() declines and the
+/// caller runs the full-width path unchanged.
+class NarrowRetry {
+ public:
+  NarrowRetry(std::uint32_t width, unsigned W) : W_(W) {
+    for (unsigned nw = 1; nw < W; nw *= 2) states_.emplace_back(width, nw);
+    lanes_.reserve(64 * W);
+  }
+
+  /// The narrowest state holding `mask`'s lanes, with lanes() set to
+  /// them — or null when none is narrower than the batch.
+  PackedState* fit(const LaneMask& mask) {
+    const std::uint64_t count = mask.popcount();
+    for (PackedState& s : states_) {
+      if (s.lanes() < count) continue;
+      lane_indices(mask, lanes_);
+      return &s;
+    }
+    return nullptr;
+  }
+
+  const std::vector<std::uint16_t>& lanes() const noexcept { return lanes_; }
+
+  /// Narrow lanes 0..lanes().size() as a mask at `words` lane words.
+  LaneMask occupied(unsigned words) const {
+    return LaneMask::first_n(words, lanes_.size());
+  }
+
+  /// The batch lanes behind the narrow lanes set in `narrow`.
+  LaneMask widen(const LaneMask& narrow) const {
+    LaneMask wide(W_);
+    for_each_lane(narrow, [&](unsigned j) { wide.set(lanes_[j]); });
+    return wide;
+  }
+
+ private:
+  unsigned W_;
+  std::vector<PackedState> states_;
+  std::vector<std::uint16_t> lanes_;
+};
+
+/// OR of the per-component fired masks of the components in `set`
+/// (comp_fired at `words` lane words, component-major).
+LaneMask fired_lanes(const std::vector<std::uint64_t>& comp_fired,
+                     std::uint64_t set, unsigned words) {
+  LaneMask fired(words);
+  for (; set != 0; set &= set - 1) {
+    const std::size_t c = static_cast<std::size_t>(std::countr_zero(set));
+    for (unsigned w = 0; w < words; ++w)
+      fired.word(w) |= comp_fired[c * words + w];
+  }
+  return fired;
+}
+
 }  // namespace
 
 RecoveryEstimate run_recovering_mc_span(
@@ -190,12 +271,17 @@ RecoveryEstimate run_recovering_mc_span(
   const std::uint64_t lanes_per_batch = 64ULL * W;
   const LaneMask no_lanes(W);
   PackedState scratch(circuit.width(), W);
+  NarrowRetry narrow_retry(circuit.width(), W);
   PackedCheckpoint entry_cp, boundary_cp;
-  // Per-component fired masks, component-major: comp_fired[c*W + w].
+  // Per-component fired masks, component-major: comp_fired[c*W + w]
+  // (at the narrow width inside a compacted retry).
   std::vector<std::uint64_t> comp_fired;
   std::vector<std::uint64_t> lane_set(lanes_per_batch, 0);
   std::vector<int> local_left(lanes_per_batch, 0);
   std::vector<int> program_left(lanes_per_batch, 0);
+  // Replay groups of one retry round: (fired-component set, lanes),
+  // kept sorted by set.
+  std::vector<std::pair<std::uint64_t, LaneMask>> groups;
 
   const std::uint64_t batches =
       (trials + lanes_per_batch - 1) / lanes_per_batch;
@@ -252,15 +338,18 @@ RecoveryEstimate run_recovering_mc_span(
             break;
           case RetryPolicyKind::kBlockLocal: {
             LaneMask outstanding = fired_any;
-            for (unsigned lane = 0; lane < lanes_per_batch; ++lane) {
-              if (!outstanding.test(lane)) continue;
-              std::uint64_t set = 0;
-              for (std::size_t c = 0; c < comp_fired.size() / W; ++c)
-                set |= ((comp_fired[c * W + (lane >> 6)] >> (lane & 63u)) &
-                        1ULL)
-                       << c;
-              lane_set[lane] = set;
+            for_each_lane(fired_any, [&](unsigned lane) {
+              lane_set[lane] = 0;
               local_left[lane] = policy.max_local_attempts;
+            });
+            // Transpose the fired masks into per-lane component sets.
+            for (std::size_t c = 0; c < seg.components.size(); ++c) {
+              LaneMask fired_c(W);
+              for (unsigned w = 0; w < W; ++w)
+                fired_c.word(w) = comp_fired[c * W + w] & fired_any.word(w);
+              for_each_lane(fired_c, [&](unsigned lane) {
+                lane_set[lane] |= 1ULL << c;
+              });
             }
             LaneMask failed(W);
             if (policy.max_local_attempts <= 0) {
@@ -272,19 +361,38 @@ RecoveryEstimate run_recovering_mc_span(
               // in ascending set order so the RNG consumption — and
               // with it the whole estimate — is a pure function of the
               // shard.
-              std::map<std::uint64_t, LaneMask> groups;
-              for (unsigned lane = 0; lane < lanes_per_batch; ++lane)
-                if (outstanding.test(lane))
-                  groups.try_emplace(lane_set[lane], LaneMask(W))
-                      .first->second.set(lane);
+              groups.clear();
+              for_each_lane(outstanding, [&](unsigned lane) {
+                const std::uint64_t set = lane_set[lane];
+                auto it = std::lower_bound(
+                    groups.begin(), groups.end(), set,
+                    [](const auto& group, std::uint64_t key) {
+                      return group.first < key;
+                    });
+                if (it == groups.end() || it->first != set)
+                  it = groups.emplace(it, set, LaneMask(W));
+                it->second.set(lane);
+              });
               for (const auto& [set, consumers] : groups) {
-                boundary_cp.restore_all(scratch);
-                std::uint64_t replay_ops = 0;
-                for (std::size_t k = 0; k < seg.component_of_op.size(); ++k) {
-                  if (!((set >> seg.component_of_op[k]) & 1ULL)) continue;
-                  sim.apply_noisy(scratch, circuit.op(seg.begin + k));
-                  ++replay_ops;
+                // Few consumers replay in a narrow state holding only
+                // the fired components' footprint (the cells the replay
+                // writes and the checks read); the rest restore the
+                // whole scratch state.
+                PackedState* narrow = narrow_retry.fit(consumers);
+                if (narrow != nullptr) {
+                  for (std::uint64_t s = set; s != 0; s &= s - 1)
+                    gather_cells_lanes(
+                        *narrow, boundary_cp,
+                        seg.components[static_cast<std::size_t>(
+                                           std::countr_zero(s))]
+                            .cells,
+                        narrow_retry.lanes());
+                } else {
+                  boundary_cp.restore_all(scratch);
                 }
+                PackedState& replay = narrow != nullptr ? *narrow : scratch;
+                const std::uint64_t replay_ops =
+                    replay_components(sim, replay, circuit, seg, set);
                 const std::uint64_t consumer_count = consumers.popcount();
                 est.ops_local += replay_ops * consumer_count;
                 est.local_retries += consumer_count;
@@ -298,37 +406,44 @@ RecoveryEstimate run_recovering_mc_span(
                   hooks.emit_mask(telemetry::EventKind::kSegmentReplay, batch,
                                   seg_id, 0, consumers, replay_ops);
                 }
-                comp_fired.assign(seg.components.size() * W, 0);
-                eval_boundary(checked, seg, scratch, set, comp_fired, nullptr,
+                const unsigned RW = replay.lane_words();
+                comp_fired.assign(seg.components.size() * RW, 0);
+                eval_boundary(checked, seg, replay, set, comp_fired, nullptr,
                               no_lanes);
-                LaneMask accept_mask(W);
-                for (unsigned lane = 0; lane < lanes_per_batch; ++lane) {
-                  if (!consumers.test(lane)) continue;
-                  std::uint64_t next_set = 0;
-                  for (std::size_t c = 0; c < comp_fired.size() / W; ++c)
-                    next_set |=
-                        ((comp_fired[c * W + (lane >> 6)] >> (lane & 63u)) &
-                         1ULL)
-                        << c;
-                  if (next_set == 0) {
-                    accept_mask.set(lane);
-                  } else if (--local_left[lane] <= 0) {
+                const LaneMask refired = fired_lanes(comp_fired, set, RW);
+                LaneMask accept_replay =
+                    narrow != nullptr ? narrow_retry.occupied(RW) : consumers;
+                accept_replay.remove(refired);
+                const LaneMask accept_mask =
+                    narrow != nullptr ? narrow_retry.widen(accept_replay)
+                                      : accept_replay;
+                // On a partial success (some components clean, some
+                // re-fired) the lane keeps its FULL fired set: each
+                // attempt restores from the boundary checkpoint, so a
+                // component repaired in a discarded replay was never
+                // blended into `state` — shrinking to the re-fired
+                // subset would accept the lane with the original
+                // corruption still in place.
+                LaneMask retry = consumers;
+                retry.remove(accept_mask);
+                for_each_lane(retry, [&](unsigned lane) {
+                  if (--local_left[lane] <= 0) {
                     failed.set(lane);
                     outstanding.reset(lane);
                   }
-                  // On a partial success (some components clean, some
-                  // re-fired) the lane keeps its FULL fired set: each
-                  // attempt restores scratch from the boundary
-                  // checkpoint, so a component repaired in a discarded
-                  // scratch was never blended into `state` — shrinking
-                  // to the re-fired subset would accept the lane with
-                  // the original corruption still in place.
-                }
+                });
                 if (accept_mask.any()) {
-                  for (std::size_t c = 0; c < seg.components.size(); ++c)
-                    if ((set >> c) & 1ULL)
-                      blend_cells_lanes(state, scratch,
-                                        seg.components[c].cells, accept_mask);
+                  for (std::uint64_t s = set; s != 0; s &= s - 1) {
+                    const auto& cells =
+                        seg.components[static_cast<std::size_t>(
+                                           std::countr_zero(s))]
+                            .cells;
+                    if (narrow != nullptr)
+                      scatter_cells_lanes(state, *narrow, cells,
+                                          narrow_retry.lanes(), accept_replay);
+                    else
+                      blend_cells_lanes(state, scratch, cells, accept_mask);
+                  }
                   outstanding.remove(accept_mask);
                 }
               }
@@ -353,15 +468,15 @@ RecoveryEstimate run_recovering_mc_span(
     est.trials += static_cast<std::uint64_t>(lanes_this_batch);
     est.detected_trials += detected_lanes.popcount();
     LaneMask accepted_lanes = active & live;
-    for (int lane = 0; lane < lanes_this_batch; ++lane) {
-      if (!active.test(static_cast<unsigned>(lane))) continue;
+    for_each_lane(accepted_lanes, [&](unsigned lane) {
       ++est.accepted;
-      if (classify(state, lane, batch)) ++est.silent_failures;
-    }
+      if (classify(state, static_cast<int>(lane), batch)) ++est.silent_failures;
+    });
 
     // --- whole-program restarts (kWholeProgram, and kBlockLocal
     // fallbacks): full re-runs from the entry checkpoint, one attempt
-    // per pending lane per pass ----------------------------------------
+    // per pending lane per pass; a pass whose pending lanes fit a
+    // narrower width runs compacted ---------------------------------
     LaneMask pending = restart_pending;
     if (pending.any() && policy.max_program_attempts <= 0) {
       rejected |= pending;
@@ -370,39 +485,54 @@ RecoveryEstimate run_recovering_mc_span(
     while (pending.any()) {
       est.program_restarts += pending.popcount();
       if (hp != nullptr) *hooks.restarts += pending.popcount();
-      entry_cp.restore_all(scratch);
-      LaneMask still_clean = LaneMask::ones(W);
+      PackedState* narrow = narrow_retry.fit(pending);
+      if (narrow != nullptr)
+        gather_lanes(*narrow, entry_cp, narrow_retry.lanes());
+      else
+        entry_cp.restore_all(scratch);
+      PackedState& rerun = narrow != nullptr ? *narrow : scratch;
+      const unsigned RW = rerun.lane_words();
+      const LaneMask rerun_pending =
+          narrow != nullptr ? narrow_retry.occupied(RW) : pending;
+      LaneMask still_clean = LaneMask::ones(RW);
       for (const Segment& seg : plan.segments) {
-        sim.apply_noisy_span(scratch, circuit, seg.begin, seg.end + 1);
+        sim.apply_noisy_span(rerun, circuit, seg.begin, seg.end + 1);
         // A lane pays each segment until its first fired boundary —
         // the point a physical whole-program retry would abort at.
-        est.ops_restart += seg.op_count() * (pending & still_clean).popcount();
-        comp_fired.assign(seg.components.size() * W, 0);
-        eval_boundary(checked, seg, scratch, ~0ULL, comp_fired, nullptr,
+        est.ops_restart +=
+            seg.op_count() * (rerun_pending & still_clean).popcount();
+        comp_fired.assign(seg.components.size() * RW, 0);
+        eval_boundary(checked, seg, rerun, ~0ULL, comp_fired, nullptr,
                       no_lanes);
-        LaneMask fired(W);
+        LaneMask fired(RW);
         for (std::size_t c = 0; c < seg.components.size(); ++c)
-          for (unsigned w = 0; w < W; ++w)
-            fired.word(w) |= comp_fired[c * W + w];
+          for (unsigned w = 0; w < RW; ++w)
+            fired.word(w) |= comp_fired[c * RW + w];
         still_clean.remove(fired);
-        if ((pending & still_clean).none()) break;  // every pending lane failed
+        // Every pending lane failed: the pass is over.
+        if ((rerun_pending & still_clean).none()) break;
       }
-      const LaneMask accepted_now = pending & still_clean;
+      const LaneMask accepted_rerun = rerun_pending & still_clean;
+      const LaneMask accepted_now = narrow != nullptr
+                                        ? narrow_retry.widen(accepted_rerun)
+                                        : accepted_rerun;
       if (accepted_now.any()) {
-        blend_lanes(state, scratch, accepted_now);
+        if (narrow != nullptr)
+          scatter_lanes(state, *narrow, narrow_retry.lanes(), accepted_rerun);
+        else
+          blend_lanes(state, scratch, accepted_now);
         accepted_lanes |= accepted_now & live;
-        for (int lane = 0; lane < lanes_this_batch; ++lane) {
-          if (!accepted_now.test(static_cast<unsigned>(lane))) continue;
+        for_each_lane(accepted_now & live, [&](unsigned lane) {
           ++est.accepted;
-          if (classify(state, lane, batch)) ++est.silent_failures;
-        }
+          if (classify(state, static_cast<int>(lane), batch))
+            ++est.silent_failures;
+        });
         pending.remove(accepted_now);
       }
       LaneMask exhausted(W);
-      for (unsigned lane = 0; lane < lanes_per_batch; ++lane) {
-        if (!pending.test(lane)) continue;
+      for_each_lane(pending, [&](unsigned lane) {
         if (--program_left[lane] <= 0) exhausted.set(lane);
-      }
+      });
       rejected |= exhausted;
       pending.remove(exhausted);
     }

@@ -17,6 +17,21 @@
 //     cell by cell; lanes that exhaust local attempts (or any fired
 //     lane under kWholeProgram) restart from the entry checkpoint in
 //     end-of-batch passes;
+//   * retries run LANE-COMPACTED at lane_words > 1: when a replay
+//     group's consumers, or a restart pass's pending lanes, fit a
+//     narrower width (64·nw lanes, nw in {1,2,4} below W), they are
+//     gathered into a preallocated narrow state — only the fired
+//     components' footprint cells from the boundary checkpoint for a
+//     replay (every cell a replay writes or its checks read lies
+//     there), every cell from the entry checkpoint for a restart —
+//     replayed or restarted there, checked at the narrow width, and
+//     the accepted lanes scattered back (recover/checkpoint.h). The
+//     first pass, and every retry at W = 1, runs on the full-width
+//     state exactly as before, so the W = 1 stream and the no-retry
+//     stream at every W are unchanged; at W > 1 compaction changes
+//     only how many masks a retry draws — lane_words is part of the
+//     determinism key — and the widths agree statistically
+//     (test_simd_lanes);
 //   * every attempt draws FRESH fault randomness from the shard's own
 //     simulator stream (the per-kind Bernoulli streams just keep
 //     going), so retries are real re-executions under the same noise

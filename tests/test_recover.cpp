@@ -4,7 +4,10 @@
 //   * segment-plan structure: segments tile the checked circuit,
 //     components partition each segment's ops and cells, boundary
 //     merging folds the machines' two-phase boundaries (zero check +
-//     compensation flush + rail checkpoint) into one segment;
+//     compensation flush + rail checkpoint) into one segment; every
+//     bit a replay touches or a check reads lies in its component's
+//     footprint (the premise of the compacted replay), and more than
+//     64 components per segment is a build-time error;
 //   * checkpoint/restore primitives for both engines;
 //   * the REPAIR THEOREM, exhaustively: with fault-free retries, the
 //     block-local runner turns EVERY single-fault scenario of the
@@ -185,6 +188,87 @@ TEST(SegmentPlan, ZeroCheckBitsBelongToTheComponentFootprint) {
     }
   }
   EXPECT_TRUE(found);
+}
+
+// The premise of the compacted replay (recover/recovering_mc.cpp): a
+// narrow replay state holds only the fired components' footprint
+// cells, so every bit a replay touches and every bit eval_boundary
+// reads for a component must lie in component.cells — the operands of
+// its ops, the rail bit and checkpoint-span bits of each of its rails,
+// and the bits of its zero checks. A bit outside would be read stale.
+TEST(SegmentPlan, ReplayAndChecksStayInsideTheComponentFootprint) {
+  CheckedMachineOptions unscheduled = recovering_machine_options();
+  unscheduled.schedule.enabled = false;
+  const Circuit logical = scattered6();
+  for (const CheckedMachineOptions& opts :
+       {recovering_machine_options(), unscheduled}) {
+    for (const CheckedMachineProgram& program :
+         {CheckedMachine1d(6, true, opts).compile(logical),
+          CheckedMachine2d(6, true, opts).compile(logical)}) {
+      const detect::CheckedCircuit& checked = program.checked;
+      ASSERT_EQ(checked.checkpoint_spans.size(), checked.checkpoints.size());
+      const auto plan = recover::build_segment_plan(checked);
+      std::size_t bits_checked = 0;
+      for (std::size_t si = 0; si < plan.segments.size(); ++si) {
+        const recover::Segment& seg = plan.segments[si];
+        const auto expect_in = [&](std::uint32_t c, std::uint32_t bit,
+                                   const char* what) {
+          const auto& cells = seg.components[c].cells;
+          EXPECT_TRUE(std::binary_search(cells.begin(), cells.end(), bit))
+              << what << " bit " << bit << " outside component " << c
+              << " of segment " << si;
+          ++bits_checked;
+        };
+        for (std::uint32_t c = 0; c < seg.components.size(); ++c)
+          for (const std::size_t pos : seg.components[c].ops) {
+            const Gate& g = checked.circuit.op(pos);
+            for (int k = 0; k < g.arity(); ++k)
+              expect_in(c, g.bits[static_cast<std::size_t>(k)], "operand");
+          }
+        if (seg.checkpoint >= 0) {
+          const detect::CheckpointSpan& span =
+              checked.checkpoint_spans[static_cast<std::size_t>(
+                  seg.checkpoint)];
+          for (std::size_t r = 0; r < checked.rails.size(); ++r) {
+            const std::uint32_t c = seg.component_of_rail[r];
+            expect_in(c, checked.rails[r].rail_bit, "rail");
+            for (std::uint32_t i = span.rail_first[r];
+                 i < span.rail_first[r + 1]; ++i)
+              expect_in(c, span.bits[i], "checkpoint-span");
+          }
+        }
+        for (std::size_t k = 0; k < seg.zero_checks.size(); ++k)
+          for (const std::uint32_t bit :
+               checked.zero_checks[seg.zero_checks[k]].bits)
+            expect_in(seg.component_of_zero_check[k], bit, "zero-check");
+      }
+      EXPECT_GT(bits_checked, 0u);
+    }
+  }
+}
+
+// The packed engine tracks a lane's fired components in one 64-bit
+// word, so a segment with more than 64 components is a build-time
+// error, not a silent truncation. 65 singleton rails with no op gluing
+// them give 65 components in the one segment; 64 still plan.
+TEST(SegmentPlan, MoreThan64ComponentsPerSegmentIsAnError) {
+  for (const std::uint32_t width : {64u, 65u}) {
+    Circuit c(width);
+    detect::ParityRailOptions opts;
+    for (std::uint32_t b = 0; b < width; ++b) {
+      c.not_(b);
+      opts.rail_partition.push_back({b});
+    }
+    const auto checked = detect::to_parity_rail(c, opts);
+    ASSERT_EQ(checked.rails.size(), width);
+    if (width == 64) {
+      const auto plan = recover::build_segment_plan(checked);
+      ASSERT_EQ(plan.segments.size(), 1u);
+      EXPECT_EQ(plan.segments[0].components.size(), 64u);
+    } else {
+      EXPECT_THROW(recover::build_segment_plan(checked), Error);
+    }
+  }
 }
 
 // --- partition-aware scheduling: the replay-share payoff -------------

@@ -14,15 +14,19 @@
 // sequential draws (the geometric gap spans word boundaries), ideal
 // gate kernels agree with the scalar reference simulator at every
 // width, different widths agree statistically (they run DIFFERENT
-// trials — same distribution, different stream), checkpoint spans
-// evaluate identically to the group walk, multi-word checkpoint
-// blends move exactly the masked lanes, and the compiled-program
-// cache serves hits without recompiling.
+// trials — same distribution, different stream; for the recovering
+// engine, whose retries run lane-compacted at W > 1, this is the
+// contract that replaces stream identity), checkpoint spans evaluate
+// identically to the group walk, multi-word checkpoint blends and lane
+// gathers/scatters move exactly the selected lanes, and the
+// compiled-program cache serves hits without recompiling.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "detect/checked_mc.h"
@@ -325,6 +329,81 @@ TEST(WideEngine, WidthsAgreeStatistically) {
   }
 }
 
+// The recovering engine's cross-width contract. At W > 1 retries run
+// lane-compacted and draw masks over the narrow width, so only W = 1
+// is stream-pinned; every width must still estimate the same protocol.
+// Accept and silent rates compare by combined 5-sigma Wilson
+// half-widths. Retries per trial can exceed 1, so they use the score
+// interval of a rate instead — the Wilson interval's counterpart —
+// with the per-trial variance bounded by `cluster` times the mean: one
+// retry event costs a trial at most max_local_attempts replays or
+// max_program_attempts restarts, and the measured dispersion (0.7–1.0
+// for replays, up to 7.5 for restarts, 1D machine at g = 1e-3/3e-3)
+// stays under those caps.
+double rate_half_width(std::uint64_t count, std::uint64_t trials, double z,
+                       int cluster) {
+  return z / static_cast<double>(trials) *
+         std::sqrt(cluster * static_cast<double>(count) + z * z / 4.0);
+}
+
+TEST(WideEngine, RecoveringWidthsAgreeStatistically) {
+  const Circuit logical = scattered10();
+  const auto program =
+      CheckedMachine1d(10, true, recovering_machine_options()).compile(logical);
+  const std::uint64_t trials = 20000;
+  const double z = 5.0;
+  const auto per_trial = [&](std::uint64_t count) {
+    return static_cast<double>(count) / static_cast<double>(trials);
+  };
+  for (const double g : {1e-3, 3e-3}) {
+    for (const auto& policy : {recover::RetryPolicy::no_retry(),
+                               recover::RetryPolicy::whole_program(),
+                               recover::RetryPolicy::block_local()}) {
+      recover::RecoveryEstimate by_width[4];
+      const unsigned widths[] = {1, 2, 4, 8};
+      for (int i = 0; i < 4; ++i) {
+        RecoveryExperiment::Config config;
+        config.trials = trials;
+        config.seed = 0xD5A2005ULL;
+        config.lane_words = widths[i];
+        by_width[i] =
+            RecoveryExperiment(program, logical, config).run(g, policy, 2);
+        ASSERT_EQ(by_width[i].trials, trials);
+      }
+      const recover::RecoveryEstimate& base = by_width[0];
+      for (int i = 1; i < 4; ++i) {
+        const recover::RecoveryEstimate& e = by_width[i];
+        const std::string where =
+            "W=" + std::to_string(widths[i]) + " g=" + std::to_string(g) +
+            " policy=" + std::to_string(static_cast<int>(policy.kind));
+        const BernoulliEstimate acc0{base.accepted, base.trials};
+        const BernoulliEstimate acc{e.accepted, e.trials};
+        EXPECT_NEAR(acc.rate(), acc0.rate(),
+                    std::hypot(acc0.half_width(z), acc.half_width(z)))
+            << "accept rate " << where;
+        const BernoulliEstimate sil0{base.silent_failures, base.accepted};
+        const BernoulliEstimate sil{e.silent_failures, e.accepted};
+        EXPECT_NEAR(sil.rate(), sil0.rate(),
+                    std::hypot(sil0.half_width(z), sil.half_width(z)))
+            << "silent rate " << where;
+        EXPECT_NEAR(per_trial(e.local_retries), per_trial(base.local_retries),
+                    std::hypot(rate_half_width(base.local_retries, trials, z,
+                                               policy.max_local_attempts),
+                               rate_half_width(e.local_retries, trials, z,
+                                               policy.max_local_attempts)))
+            << "local_retries/trial " << where;
+        EXPECT_NEAR(
+            per_trial(e.program_restarts), per_trial(base.program_restarts),
+            std::hypot(rate_half_width(base.program_restarts, trials, z,
+                                       policy.max_program_attempts),
+                       rate_half_width(e.program_restarts, trials, z,
+                                       policy.max_program_attempts)))
+            << "program_restarts/trial " << where;
+      }
+    }
+  }
+}
+
 TEST(WideEngine, CheckedThreadCountInvariantAtEveryWidth) {
   const Circuit logical = scattered10();
   const CheckedMachineProgram program = CheckedMachine1d(10).compile(logical);
@@ -343,24 +422,36 @@ TEST(WideEngine, CheckedThreadCountInvariantAtEveryWidth) {
 }
 
 TEST(WideEngine, RecoveringThreadCountInvariantWide) {
+  // W > 1 is where retries run lane-compacted (narrow replays and
+  // restart passes), so every policy is pinned across worker counts.
   const Circuit logical = scattered10();
   const auto program =
       CheckedMachine1d(10, true, recovering_machine_options()).compile(logical);
-  for (const unsigned W : {2u, 8u}) {
+  for (const unsigned W : {2u, 4u, 8u}) {
     RecoveryExperiment::Config config;
     config.trials = 10000;
     config.seed = 0xD5A2005ULL;
     config.lane_words = W;
     const RecoveryExperiment exp(program, logical, config);
-    const auto e1 = exp.run(1e-3, recover::RetryPolicy::block_local(), 1);
-    const auto e3 = exp.run(1e-3, recover::RetryPolicy::block_local(), 3);
-    const auto e8 = exp.run(1e-3, recover::RetryPolicy::block_local(), 8);
-    EXPECT_EQ(e1, e3) << "W=" << W;
-    EXPECT_EQ(e1, e8) << "W=" << W;
-    EXPECT_EQ(e1.trials, 10000u);
-    // The protocol actually engaged at this width (not a vacuous run).
-    EXPECT_GT(e1.detected_trials, 0u);
-    EXPECT_GT(e1.local_retries, 0u);
+    for (const auto& policy : {recover::RetryPolicy::no_retry(),
+                               recover::RetryPolicy::whole_program(),
+                               recover::RetryPolicy::block_local()}) {
+      const auto e1 = exp.run(1e-3, policy, 1);
+      const auto e3 = exp.run(1e-3, policy, 3);
+      const auto e8 = exp.run(1e-3, policy, 8);
+      const int kind = static_cast<int>(policy.kind);
+      EXPECT_EQ(e1, e3) << "W=" << W << " policy=" << kind;
+      EXPECT_EQ(e1, e8) << "W=" << W << " policy=" << kind;
+      EXPECT_EQ(e1.trials, 10000u);
+      // The protocol actually engaged at this width (not a vacuous run).
+      EXPECT_GT(e1.detected_trials, 0u);
+      if (policy.kind == recover::RetryPolicyKind::kBlockLocal) {
+        EXPECT_GT(e1.local_retries, 0u) << "W=" << W;
+      }
+      if (policy.kind == recover::RetryPolicyKind::kWholeProgram) {
+        EXPECT_GT(e1.program_restarts, 0u) << "W=" << W;
+      }
+    }
   }
 }
 
@@ -457,6 +548,117 @@ TEST(WideCheckpoint, LaneMaskBlendMovesExactlyTheMaskedLanes) {
     EXPECT_EQ(dst2.bit_lane(0, lane), 0);
     EXPECT_EQ(dst2.bit_lane(1, lane), mask.test(lane) ? 1 : 0);
     EXPECT_EQ(dst2.bit_lane(2, lane), 0);
+  }
+}
+
+// Lane compaction (recover/checkpoint.h): gathering lanes of a wide
+// checkpoint into a narrow state and scattering accepted narrow lanes
+// back moves exactly the listed cells of exactly the selected lanes.
+// Random lane masks at every narrower width, including the empty mask,
+// a mask filling the narrow state, and partial batches' live prefixes.
+TEST(WideCheckpoint, GatherScatterRoundTripAtEveryNarrowWidth) {
+  const std::uint32_t width = 9;
+  Xoshiro256 rng(0x6A7E5CA7ULL);
+  const auto randomize = [&](PackedState& s) {
+    for (std::uint32_t bit = 0; bit < s.width(); ++bit)
+      for (unsigned w = 0; w < s.lane_words(); ++w)
+        s.words(bit)[w] = rng.next();
+  };
+  const auto same_lane = [](const PackedState& a, std::uint32_t bit, int la,
+                            const PackedState& b, int lb) {
+    return a.bit_lane(bit, la) == b.bit_lane(bit, lb);
+  };
+  const std::vector<std::uint32_t> cells = {0, 3, 4, 8};
+  const auto in_cells = [&](std::uint32_t bit) {
+    return std::find(cells.begin(), cells.end(), bit) != cells.end();
+  };
+  for (const unsigned W : {2u, 4u, 8u}) {
+    for (unsigned nw = 1; nw < W; nw *= 2) {
+      const unsigned cap = 64 * nw;
+      std::vector<LaneMask> masks;
+      masks.emplace_back(W);                       // empty
+      masks.push_back(LaneMask::first_n(W, cap));  // fills the narrow state
+      masks.push_back(LaneMask::first_n(W, 37));   // partial batch
+      for (int k = 0; k < 6; ++k) {
+        // Random masks, the first of them filling the narrow state.
+        const std::uint64_t want = k == 0 ? cap : 1 + rng.next() % cap;
+        LaneMask m(W);
+        while (m.popcount() < want)
+          m.set(static_cast<unsigned>(rng.next() % (64 * W)));
+        masks.push_back(m);
+      }
+      for (const LaneMask& mask : masks) {
+        const std::string where = "W=" + std::to_string(W) +
+                                  " nw=" + std::to_string(nw) +
+                                  " lanes=" + std::to_string(mask.popcount());
+        std::vector<std::uint16_t> lanes;
+        recover::lane_indices(mask, lanes);
+        ASSERT_EQ(lanes.size(), mask.popcount());
+        ASSERT_TRUE(std::is_sorted(lanes.begin(), lanes.end()));
+        for (const std::uint16_t lane : lanes) ASSERT_TRUE(mask.test(lane));
+
+        PackedState wide(width, W);
+        randomize(wide);
+        recover::PackedCheckpoint cp;
+        cp.capture(wide);
+
+        // Gather: listed cells take the selected lanes (the rest of the
+        // cell cleared); unlisted cells are untouched.
+        PackedState narrow(width, nw);
+        randomize(narrow);
+        const PackedState before = narrow;
+        recover::gather_cells_lanes(narrow, cp, cells, lanes);
+        for (std::uint32_t bit = 0; bit < width; ++bit)
+          for (int j = 0; j < static_cast<int>(cap); ++j) {
+            if (!in_cells(bit))
+              ASSERT_TRUE(same_lane(narrow, bit, j, before, j)) << where;
+            else if (j < static_cast<int>(lanes.size()))
+              ASSERT_TRUE(same_lane(narrow, bit, j, wide, lanes[j])) << where;
+            else
+              ASSERT_EQ(narrow.bit_lane(bit, j), 0) << where;
+          }
+
+        // Scatter a random subset of the occupied narrow lanes into a
+        // random wide state: only those lanes of the listed cells move.
+        randomize(narrow);
+        LaneMask accept(nw);
+        for (std::size_t j = 0; j < lanes.size(); ++j)
+          if ((rng.next() & 1) != 0) accept.set(static_cast<unsigned>(j));
+        PackedState dst(width, W);
+        randomize(dst);
+        const PackedState dst_before = dst;
+        recover::scatter_cells_lanes(dst, narrow, cells, lanes, accept);
+        std::vector<int> narrow_of(64 * W, -1);
+        for (std::size_t j = 0; j < lanes.size(); ++j)
+          narrow_of[lanes[j]] = static_cast<int>(j);
+        for (std::uint32_t bit = 0; bit < width; ++bit)
+          for (int lane = 0; lane < static_cast<int>(64 * W); ++lane) {
+            const int j = narrow_of[static_cast<std::size_t>(lane)];
+            if (in_cells(bit) && j >= 0 &&
+                accept.test(static_cast<unsigned>(j)))
+              ASSERT_TRUE(same_lane(dst, bit, lane, narrow, j)) << where;
+            else
+              ASSERT_TRUE(same_lane(dst, bit, lane, dst_before, lane))
+                  << where;
+          }
+
+        // Every-cell forms: a gather then a scatter of every occupied
+        // lane reproduces the checkpoint on the masked lanes and leaves
+        // every other lane of the target as it was.
+        recover::gather_lanes(narrow, cp, lanes);
+        PackedState back(width, W);
+        randomize(back);
+        const PackedState back_before = back;
+        recover::scatter_lanes(back, narrow, lanes,
+                               LaneMask::first_n(nw, lanes.size()));
+        for (std::uint32_t bit = 0; bit < width; ++bit)
+          for (int lane = 0; lane < static_cast<int>(64 * W); ++lane)
+            ASSERT_TRUE(mask.test(static_cast<unsigned>(lane))
+                            ? same_lane(back, bit, lane, wide, lane)
+                            : same_lane(back, bit, lane, back_before, lane))
+                << where;
+      }
+    }
   }
 }
 
