@@ -1,5 +1,6 @@
 #include "noise/packed_sim.h"
 
+#include <bit>
 #include <cmath>
 
 #include "support/error.h"
@@ -64,67 +65,48 @@ BernoulliMaskStream::BernoulliMaskStream(double p, Xoshiro256* rng)
   use_geometric_ = p > 0.0 && p < 0.03;
   if (use_geometric_) {
     inv_log1m_p_ = 1.0 / std::log1p(-p);
-    next_index_ = draw_gap();
+    countdown_ = draw_gap();
+  } else if (p <= 0.0) {
+    countdown_ = ~0ULL;
   }
 }
 
-std::uint64_t BernoulliMaskStream::draw_gap() {
-  // Inversion of the geometric distribution: G = floor(ln U / ln(1-p))
-  // with U in (0, 1] has P(G = k) = (1-p)^k p — exactly the number of
-  // non-failures before the next failure in a Bernoulli(p) stream.
-  double u = rng_->next_double();
-  if (u <= 0.0) u = 0x1.0p-53;  // next_double() is in [0,1); map 0 to the
-                                // smallest positive value so ln is finite
-  const double gap = std::floor(std::log(u) * inv_log1m_p_);
-  // Cap to keep the integer conversion defined; gaps this large behave
-  // identically (no failure for a very long time).
-  if (gap > 9.0e18) return 9000000000000000000ULL;
-  return static_cast<std::uint64_t>(gap);
-}
-
-std::uint64_t BernoulliMaskStream::next_mask() {
-  if (p_ <= 0.0) return 0;
-  if (p_ >= 1.0) return ~0ULL;
-  if (use_geometric_) {
-    std::uint64_t mask = 0;
-    while (next_index_ < 64) {
-      mask |= 1ULL << next_index_;
-      next_index_ += 1 + draw_gap();
-    }
-    next_index_ -= 64;
-    return mask;
+void BernoulliMaskStream::next_masks(std::uint64_t* out, unsigned words) {
+  switch (words) {
+    case 1:
+      draw_batch<1>(out);
+      return;
+    case 2:
+      draw_batch<2>(out);
+      return;
+    case 4:
+      draw_batch<4>(out);
+      return;
+    case 8:
+      draw_batch<8>(out);
+      return;
   }
-  return rng_->next_bernoulli_mask(p_);
+  REVFT_CHECK_MSG(false, "next_masks: words=" << words << " not in {1,2,4,8}");
 }
 
-// The inline fast path (no failure anywhere in the batch) already
-// handled the common case; here at least one lane fails, p is
-// degenerate, or the threshold path is active.
-void BernoulliMaskStream::next_masks_slow(std::uint64_t* out, unsigned words) {
+std::uint64_t BernoulliMaskStream::draw_dense(std::uint64_t* out,
+                                              unsigned words) {
   if (p_ <= 0.0) {
+    // skip_batch ran the counter down after ~2^64 lanes; rearm it.
+    countdown_ = ~0ULL;
     for (unsigned w = 0; w < words; ++w) out[w] = 0;
-    return;
+    return 0;
   }
   if (p_ >= 1.0) {
     for (unsigned w = 0; w < words; ++w) out[w] = ~0ULL;
-    return;
+    return 64ULL * words;
   }
-  if (use_geometric_) {
-    // Walk the gap chain once across the whole batch. Equivalent to
-    // per-word next_mask() calls — those track the same global lane
-    // index, just rebased by 64 per word — with the same draws in the
-    // same order, so the RNG stream is bit-identical; the cost is
-    // O(failures in the batch) instead of O(words).
-    const std::uint64_t batch_lanes = 64ULL * words;
-    for (unsigned w = 0; w < words; ++w) out[w] = 0;
-    while (next_index_ < batch_lanes) {
-      out[next_index_ >> 6] |= 1ULL << (next_index_ & 63);
-      next_index_ += 1 + draw_gap();
-    }
-    next_index_ -= batch_lanes;
-    return;
+  std::uint64_t failing = 0;
+  for (unsigned w = 0; w < words; ++w) {
+    out[w] = rng_->next_bernoulli_mask(p_);
+    failing += static_cast<std::uint64_t>(std::popcount(out[w]));
   }
-  for (unsigned w = 0; w < words; ++w) out[w] = rng_->next_bernoulli_mask(p_);
+  return failing;
 }
 
 PackedSimulator::PackedSimulator(const NoiseModel& model, std::uint64_t seed)
@@ -137,120 +119,138 @@ PackedSimulator::PackedSimulator(const NoiseModel& model, std::uint64_t seed)
 // Gate kernels instantiated per lane width. W is a compile-time
 // constant, so every loop below is a fixed-trip-count word-array op
 // the compiler unrolls and vectorizes (one AVX2 op at W=4, one
-// AVX-512 op at W=8). Gate operands are validated distinct at
-// construction (rev/gate.h make_* helpers), so the per-operand
-// pointers never alias and __restrict__ is sound.
+// AVX-512 op at W=8). Each kernel copies the operand words it reads
+// into locals before it writes any output, so the loops vectorize
+// without alias analysis: __restrict__ on the operand pointers stops
+// helping once ideal_gate is inlined into the gate loops below.
 template <unsigned W>
 struct PackedKernels {
-  static void ideal_gate(PackedState& state, const Gate& g) {
+  using Words = std::uint64_t[W];
+
+  [[gnu::always_inline]] static void load(const std::uint64_t* p, Words& v) {
+    for (unsigned w = 0; w < W; ++w) v[w] = p[w];
+  }
+
+  [[gnu::always_inline]] static void ideal_gate(PackedState& state,
+                                                const Gate& g) {
     const auto& b = g.bits;
     switch (g.kind) {
       case GateKind::kNot: {
-        std::uint64_t* __restrict__ a = state.words(b[0]);
+        std::uint64_t* a = state.cell_words<W>(b[0]);
         for (unsigned w = 0; w < W; ++w) a[w] = ~a[w];
         return;
       }
       case GateKind::kCnot: {
-        const std::uint64_t* __restrict__ c = state.words(b[0]);
-        std::uint64_t* __restrict__ t = state.words(b[1]);
+        Words c{};
+        load(state.cell_words<W>(b[0]), c);
+        std::uint64_t* t = state.cell_words<W>(b[1]);
         for (unsigned w = 0; w < W; ++w) t[w] ^= c[w];
         return;
       }
       case GateKind::kSwap: {
-        std::uint64_t* __restrict__ x = state.words(b[0]);
-        std::uint64_t* __restrict__ y = state.words(b[1]);
-        for (unsigned w = 0; w < W; ++w) {
-          const std::uint64_t t = x[w];
-          x[w] = y[w];
-          y[w] = t;
-        }
+        std::uint64_t* xp = state.cell_words<W>(b[0]);
+        std::uint64_t* yp = state.cell_words<W>(b[1]);
+        Words x{}, y{};
+        load(xp, x);
+        load(yp, y);
+        for (unsigned w = 0; w < W; ++w) xp[w] = y[w];
+        for (unsigned w = 0; w < W; ++w) yp[w] = x[w];
         return;
       }
       case GateKind::kToffoli: {
-        const std::uint64_t* __restrict__ c1 = state.words(b[0]);
-        const std::uint64_t* __restrict__ c2 = state.words(b[1]);
-        std::uint64_t* __restrict__ t = state.words(b[2]);
+        Words c1{}, c2{};
+        load(state.cell_words<W>(b[0]), c1);
+        load(state.cell_words<W>(b[1]), c2);
+        std::uint64_t* t = state.cell_words<W>(b[2]);
         for (unsigned w = 0; w < W; ++w) t[w] ^= c1[w] & c2[w];
         return;
       }
       case GateKind::kFredkin: {
-        const std::uint64_t* __restrict__ c = state.words(b[0]);
-        std::uint64_t* __restrict__ x = state.words(b[1]);
-        std::uint64_t* __restrict__ y = state.words(b[2]);
-        for (unsigned w = 0; w < W; ++w) {
-          const std::uint64_t d = c[w] & (x[w] ^ y[w]);
-          x[w] ^= d;
-          y[w] ^= d;
-        }
+        std::uint64_t* xp = state.cell_words<W>(b[1]);
+        std::uint64_t* yp = state.cell_words<W>(b[2]);
+        Words c{}, d{};
+        load(state.cell_words<W>(b[0]), c);
+        for (unsigned w = 0; w < W; ++w) d[w] = c[w] & (xp[w] ^ yp[w]);
+        for (unsigned w = 0; w < W; ++w) xp[w] ^= d[w];
+        for (unsigned w = 0; w < W; ++w) yp[w] ^= d[w];
         return;
       }
       case GateKind::kSwap3: {
         // Left rotation: new(a,b,c) = (old b, old c, old a).
-        std::uint64_t* __restrict__ x = state.words(b[0]);
-        std::uint64_t* __restrict__ y = state.words(b[1]);
-        std::uint64_t* __restrict__ z = state.words(b[2]);
-        for (unsigned w = 0; w < W; ++w) {
-          const std::uint64_t t = x[w];
-          x[w] = y[w];
-          y[w] = z[w];
-          z[w] = t;
-        }
+        std::uint64_t* xp = state.cell_words<W>(b[0]);
+        std::uint64_t* yp = state.cell_words<W>(b[1]);
+        std::uint64_t* zp = state.cell_words<W>(b[2]);
+        Words x{}, y{}, z{};
+        load(xp, x);
+        load(yp, y);
+        load(zp, z);
+        for (unsigned w = 0; w < W; ++w) xp[w] = y[w];
+        for (unsigned w = 0; w < W; ++w) yp[w] = z[w];
+        for (unsigned w = 0; w < W; ++w) zp[w] = x[w];
         return;
       }
       case GateKind::kMaj: {
-        std::uint64_t* __restrict__ x = state.words(b[0]);
-        std::uint64_t* __restrict__ y = state.words(b[1]);
-        std::uint64_t* __restrict__ z = state.words(b[2]);
+        std::uint64_t* xp = state.cell_words<W>(b[0]);
+        std::uint64_t* yp = state.cell_words<W>(b[1]);
+        std::uint64_t* zp = state.cell_words<W>(b[2]);
+        Words x{}, y{}, z{};
+        load(xp, x);
+        load(yp, y);
+        load(zp, z);
         for (unsigned w = 0; w < W; ++w) {
           y[w] ^= x[w];
           z[w] ^= x[w];
           x[w] ^= y[w] & z[w];
         }
+        for (unsigned w = 0; w < W; ++w) xp[w] = x[w];
+        for (unsigned w = 0; w < W; ++w) yp[w] = y[w];
+        for (unsigned w = 0; w < W; ++w) zp[w] = z[w];
         return;
       }
       case GateKind::kMajInv: {
-        std::uint64_t* __restrict__ x = state.words(b[0]);
-        std::uint64_t* __restrict__ y = state.words(b[1]);
-        std::uint64_t* __restrict__ z = state.words(b[2]);
+        std::uint64_t* xp = state.cell_words<W>(b[0]);
+        std::uint64_t* yp = state.cell_words<W>(b[1]);
+        std::uint64_t* zp = state.cell_words<W>(b[2]);
+        Words x{}, y{}, z{};
+        load(xp, x);
+        load(yp, y);
+        load(zp, z);
         for (unsigned w = 0; w < W; ++w) {
           x[w] ^= y[w] & z[w];
           y[w] ^= x[w];
           z[w] ^= x[w];
         }
+        for (unsigned w = 0; w < W; ++w) xp[w] = x[w];
+        for (unsigned w = 0; w < W; ++w) yp[w] = y[w];
+        for (unsigned w = 0; w < W; ++w) zp[w] = z[w];
         return;
       }
       case GateKind::kInit3: {
-        std::uint64_t* __restrict__ x = state.words(b[0]);
-        std::uint64_t* __restrict__ y = state.words(b[1]);
-        std::uint64_t* __restrict__ z = state.words(b[2]);
-        for (unsigned w = 0; w < W; ++w) {
-          x[w] = 0;
-          y[w] = 0;
-          z[w] = 0;
+        for (unsigned i = 0; i < 3; ++i) {
+          std::uint64_t* p = state.cell_words<W>(b[i]);
+          for (unsigned w = 0; w < W; ++w) p[w] = 0;
         }
         return;
       }
       case GateKind::kF2g: {
-        const std::uint64_t* __restrict__ x = state.words(b[0]);
-        std::uint64_t* __restrict__ y = state.words(b[1]);
-        std::uint64_t* __restrict__ z = state.words(b[2]);
-        for (unsigned w = 0; w < W; ++w) {
-          y[w] ^= x[w];
-          z[w] ^= x[w];
-        }
+        Words x{};
+        load(state.cell_words<W>(b[0]), x);
+        std::uint64_t* yp = state.cell_words<W>(b[1]);
+        std::uint64_t* zp = state.cell_words<W>(b[2]);
+        for (unsigned w = 0; w < W; ++w) yp[w] ^= x[w];
+        for (unsigned w = 0; w < W; ++w) zp[w] ^= x[w];
         return;
       }
       case GateKind::kNft: {
         // Lanes with the control set map (b,c) -> (~c, ~b); XORing both
         // words with ~(b^c) under the control mask does exactly that.
-        const std::uint64_t* __restrict__ x = state.words(b[0]);
-        std::uint64_t* __restrict__ y = state.words(b[1]);
-        std::uint64_t* __restrict__ z = state.words(b[2]);
-        for (unsigned w = 0; w < W; ++w) {
-          const std::uint64_t d = x[w] & ~(y[w] ^ z[w]);
-          y[w] ^= d;
-          z[w] ^= d;
-        }
+        std::uint64_t* yp = state.cell_words<W>(b[1]);
+        std::uint64_t* zp = state.cell_words<W>(b[2]);
+        Words x{}, d{};
+        load(state.cell_words<W>(b[0]), x);
+        for (unsigned w = 0; w < W; ++w) d[w] = x[w] & ~(yp[w] ^ zp[w]);
+        for (unsigned w = 0; w < W; ++w) yp[w] ^= d[w];
+        for (unsigned w = 0; w < W; ++w) zp[w] ^= d[w];
         return;
       }
     }
@@ -260,33 +260,36 @@ struct PackedKernels {
     for (const Gate& g : c.ops()) ideal_gate(state, g);
   }
 
-  static void noisy_gate(PackedSimulator& sim, PackedState& state,
-                         const Gate& g) {
+  // One noisy gate: the word ops, then the kind's gap counter. Only a
+  // batch holding a failure goes further — the gap walk (masks plus
+  // failing-lane count), then in the failed lanes every touched bit
+  // becomes uniformly random, independent of the correct output, per
+  // the paper's model: one fresh word per (bit, failing word), drawn
+  // bit-major over ascending failing words — at W=1 exactly the legacy
+  // one-draw-per-touched-bit stream.
+  [[gnu::always_inline]] static void noisy_gate(PackedSimulator& sim,
+                                                PackedState& state,
+                                                const Gate& g) {
     ideal_gate(state, g);
-    std::uint64_t fail[W];
-    sim.streams_[static_cast<std::size_t>(g.kind)].next_masks(fail, W);
-    std::uint64_t any = 0;
-    for (unsigned w = 0; w < W; ++w) any |= fail[w];
-    if (any == 0) return;
-    std::uint64_t pop = 0;
-    // Failing words are sparse (usually exactly one); record them once
-    // so the injection below walks O(failing words) per bit instead of
-    // scanning all W words per bit.
+    BernoulliMaskStream& stream =
+        sim.streams_[static_cast<std::size_t>(g.kind)];
+    if (stream.skip_batch<W>()) return;
+    std::uint64_t fail[W] = {};
+    const std::uint64_t failing_lanes = stream.draw_batch<W>(fail);
+    if (failing_lanes == 0) return;
+    sim.faults_drawn_ += failing_lanes;
+    // Failing words are sparse (usually exactly one); list them once,
+    // branch-free, so the injection walks O(failing words) per bit.
     unsigned failing = 0;
-    unsigned failing_w[W];
+    unsigned failing_w[W] = {};
     for (unsigned w = 0; w < W; ++w) {
-      pop += static_cast<std::uint64_t>(__builtin_popcountll(fail[w]));
-      if (fail[w] != 0) failing_w[failing++] = w;
+      failing_w[failing] = w;
+      failing += fail[w] != 0 ? 1u : 0u;
     }
-    sim.faults_drawn_ += pop;
-    // In failed lanes, every touched bit becomes uniformly random —
-    // independent of the correct output, per the paper's model. One
-    // fresh word per (bit, fail word) pair, drawn in bit-major order
-    // over ascending failing words — at W=1 this is exactly the legacy
-    // one-draw-per-touched-bit stream.
-    const int n = g.arity();
+    const int n = gate_arity(g.kind);
     for (int i = 0; i < n; ++i) {
-      std::uint64_t* wp = state.words(g.bits[static_cast<std::size_t>(i)]);
+      std::uint64_t* wp =
+          state.cell_words<W>(g.bits[static_cast<std::size_t>(i)]);
       for (unsigned f = 0; f < failing; ++f) {
         const unsigned w = failing_w[f];
         wp[w] = (wp[w] & ~fail[w]) | (sim.rng_.next() & fail[w]);
@@ -297,15 +300,20 @@ struct PackedKernels {
   static void noisy_span(PackedSimulator& sim, PackedState& state,
                          const Circuit& c, std::size_t first,
                          std::size_t last) {
-    const std::vector<Gate>& ops = c.ops();
+    const Gate* ops = c.ops().data();
     for (std::size_t i = first; i < last; ++i) noisy_gate(sim, state, ops[i]);
   }
-};
 
-template struct PackedKernels<1>;
-template struct PackedKernels<2>;
-template struct PackedKernels<4>;
-template struct PackedKernels<8>;
+  static void noisy_ops(PackedSimulator& sim, PackedState& state,
+                        const Circuit& c,
+                        std::span<const std::size_t> positions) {
+    const Gate* ops = c.ops().data();
+    for (const std::size_t pos : positions) {
+      REVFT_DASSERT(pos < c.size());
+      noisy_gate(sim, state, ops[pos]);
+    }
+  }
+};
 
 void PackedSimulator::apply_ideal(PackedState& state, const Gate& g) {
   switch (state.lane_words()) {
@@ -389,6 +397,27 @@ void PackedSimulator::apply_noisy_span(PackedState& state, const Circuit& c,
       return;
   }
   REVFT_CHECK_MSG(false, "apply_noisy_span: bad lane_words");
+}
+
+void PackedSimulator::apply_noisy_ops(PackedState& state, const Circuit& c,
+                                      std::span<const std::size_t> positions) {
+  REVFT_CHECK_MSG(c.width() == state.width(),
+                  "apply_noisy_ops: width mismatch");
+  switch (state.lane_words()) {
+    case 1:
+      PackedKernels<1>::noisy_ops(*this, state, c, positions);
+      return;
+    case 2:
+      PackedKernels<2>::noisy_ops(*this, state, c, positions);
+      return;
+    case 4:
+      PackedKernels<4>::noisy_ops(*this, state, c, positions);
+      return;
+    case 8:
+      PackedKernels<8>::noisy_ops(*this, state, c, positions);
+      return;
+  }
+  REVFT_CHECK_MSG(false, "apply_noisy_ops: bad lane_words");
 }
 
 }  // namespace revft

@@ -12,9 +12,34 @@
 // per circuit bit, i.e. 64*W lanes per batch. All gate kernels loop
 // contiguously over the W words of each touched cell with W fixed at
 // compile time, which the compiler auto-vectorizes to AVX2 (W=4) or
-// AVX-512 (W=8) — no intrinsics anywhere. W=1 is the legacy 64-lane
-// engine, bit for bit: same RNG draw order, same masks, same
-// estimates (pinned by tests/test_simd_lanes.cpp).
+// AVX-512 (W=8) — no intrinsics anywhere.
+//
+// The fault path. Each gate kind has one Bernoulli(g) lane stream on
+// the simulator's single RNG; at small g the stream is a geometric gap
+// counter (lanes until the next failure, carried across words, gates
+// and batches). The gate, span and op-list entry points each run one
+// loop per W with everything below inlined into it:
+//   * a gate between two faults costs its word ops plus one
+//     compare-and-subtract of 64·W on its kind's counter — no RNG
+//     draw, no mask, no call;
+//   * a gate whose batch holds a fault walks the gap chain once: one
+//     inline gap step per failing lane (std::log, the only library
+//     call on the path), yielding the W masks and the failing-lane
+//     count; then arity × failing-words inline xoshiro256** draws
+//     randomize the failed lanes.
+// The walk counts the lanes it sets, so faults_drawn() needs no
+// popcount: the baseline x86-64 ISA has no POPCNT, and each
+// __builtin_popcountll there is a libgcc call. Only the per-lane
+// threshold path (g >= 0.03) and the degenerate g = 0 / g = 1 streams
+// leave the loop (BernoulliMaskStream::draw_dense, out of line).
+//
+// Every entry point draws the same RNG words in the same order: per
+// gate, the kind's W masks exactly as W next_mask() calls would, then
+// one word per (operand bit, failing word), bit-major over ascending
+// failing words. So the plain, checked and recovering engines are
+// bit-identical whichever entry they use, and W=1 is the legacy 64-lane
+// engine bit for bit (tests/test_simd_lanes.cpp pins both, the first
+// against a test-local reference of this order at every W).
 //
 // Exactness note: lane failure masks are drawn from an *exact*
 // Bernoulli(g) stream (geometric gap sampling at small g, per-lane
@@ -24,7 +49,9 @@
 // the batch never perturbs the failure statistics.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "noise/lanes.h"
@@ -65,6 +92,15 @@ class PackedState {
   std::uint64_t* words(std::uint32_t bit) {
     REVFT_DASSERT(bit < width_);
     return words_.data() + static_cast<std::size_t>(bit) * lane_words_;
+  }
+
+  /// words(bit) for the gate kernels, which know lane_words() == W at
+  /// compile time: the cell offset is a shift, not a multiply.
+  template <unsigned W>
+  std::uint64_t* cell_words(std::uint32_t bit) {
+    REVFT_DASSERT(lane_words_ == W);
+    REVFT_DASSERT(bit < width_);
+    return words_.data() + static_cast<std::size_t>(bit) * W;
   }
 
   /// Legacy single-word accessors of the 64-lane engine. Only valid at
@@ -130,34 +166,56 @@ class PackedState {
 };
 
 /// Exact Bernoulli(p) bit stream producing 64-lane mask words. Uses
-/// geometric gap sampling when p is small (about one RNG draw per
-/// failure instead of 64 per word) and per-lane threshold comparison
-/// otherwise. Both paths are exact. Drawing a W-word batch via
-/// next_masks() consumes the identical RNG stream as W successive
-/// next_mask() calls — the gap counter carries across word boundaries
-/// — so lane_words enters the determinism key only through how many
+/// geometric gap sampling when p is small (one RNG draw and one log
+/// per failing lane instead of 64 draws per word) and per-lane
+/// threshold comparison otherwise. Both paths are exact. A W-word batch
+/// consumes the identical RNG stream as W successive next_mask() calls
+/// — the gap counter carries across word, gate and batch boundaries —
+/// so lane_words enters the determinism key only through how many
 /// words each gate draws, never through the sampling math.
 class BernoulliMaskStream {
  public:
   BernoulliMaskStream(double p, Xoshiro256* rng);
 
-  std::uint64_t next_mask();
+  std::uint64_t next_mask() {
+    std::uint64_t mask = 0;
+    draw_batch<1>(&mask);
+    return mask;
+  }
 
-  /// Draw `words` consecutive 64-lane masks into out[0..words).
-  /// Bit-identical to calling next_mask() `words` times. The draw-free
-  /// branch — the pending geometric gap spans the whole batch, so no
-  /// lane fails and no RNG state moves — is inline because it is THE
-  /// hot path of every noisy gate at small g; keeping it out of line
-  /// made per-gate mask work scale with the batch width instead of the
-  /// failure count.
-  void next_masks(std::uint64_t* out, unsigned words) {
-    const std::uint64_t batch_lanes = 64ULL * words;
-    if (use_geometric_ && next_index_ >= batch_lanes) {
-      next_index_ -= batch_lanes;
-      for (unsigned w = 0; w < words; ++w) out[w] = 0;
-      return;
+  /// Draw `words` ∈ {1,2,4,8} consecutive 64-lane masks into
+  /// out[0..words). Bit-identical to calling next_mask() `words` times.
+  void next_masks(std::uint64_t* out, unsigned words);
+
+  /// The draw-free step of a W-word batch, the hot path of every noisy
+  /// gate at small g: when the pending gap spans the whole batch no
+  /// lane fails and no RNG state moves, so the step is one compare and
+  /// one subtract on the counter. Returns false, changing nothing, when
+  /// the batch holds a failure (always on the threshold path and at
+  /// p = 1; never at p = 0).
+  template <unsigned W>
+  bool skip_batch() noexcept {
+    if (countdown_ < 64ULL * W) return false;
+    countdown_ -= 64ULL * W;
+    return true;
+  }
+
+  /// The W failure masks of the next batch into out[0..W); returns the
+  /// number of failing lanes. The geometric walk visits the failing
+  /// lanes once, in order, across the whole batch, so the count comes
+  /// free — no popcount (a libgcc call on the baseline x86-64 ISA).
+  template <unsigned W>
+  std::uint64_t draw_batch(std::uint64_t* out) {
+    if (!use_geometric_) return draw_dense(out, W);
+    for (unsigned w = 0; w < W; ++w) out[w] = 0;
+    std::uint64_t failing = 0;
+    while (countdown_ < 64ULL * W) {
+      out[countdown_ >> 6] |= 1ULL << (countdown_ & 63);
+      ++failing;
+      countdown_ += 1 + draw_gap();
     }
-    next_masks_slow(out, words);
+    countdown_ -= 64ULL * W;
+    return failing;
   }
 
   double p() const noexcept { return p_; }
@@ -167,10 +225,30 @@ class BernoulliMaskStream {
   Xoshiro256* rng_;  // not owned
   bool use_geometric_;
   double inv_log1m_p_ = 0.0;  // 1 / ln(1-p)
-  std::uint64_t next_index_ = 0;  // lanes until next failure (geometric path)
+  /// Lanes before the next failing lane. Geometric path: the gap
+  /// counter. p = 0: effectively infinite, so skip_batch always
+  /// succeeds. Threshold path and p = 1: zero, so it always declines.
+  std::uint64_t countdown_ = 0;
 
-  std::uint64_t draw_gap();
-  void next_masks_slow(std::uint64_t* out, unsigned words);
+  /// Inversion of the geometric distribution: G = floor(ln U / ln(1-p))
+  /// with U in (0, 1] has P(G = k) = (1-p)^k p — exactly the number of
+  /// non-failures before the next failure in a Bernoulli(p) stream.
+  std::uint64_t draw_gap() noexcept {
+    double u = rng_->next_double();
+    if (u <= 0.0) u = 0x1.0p-53;  // next_double() is in [0,1); map 0 to the
+                                  // smallest positive value so ln is finite
+    const double gap = std::floor(std::log(u) * inv_log1m_p_);
+    // Cap to keep the integer conversion defined; gaps this large
+    // behave identically (no failure for a very long time).
+    if (gap > 9.0e18) return 9000000000000000000ULL;
+    return static_cast<std::uint64_t>(gap);
+  }
+
+  /// The threshold path and the degenerate p = 0 / p = 1 streams, kept
+  /// out of line (with their popcount) so the noisy gate loops stay
+  /// call-free on the geometric path; returns the failing-lane count.
+  [[gnu::noinline]] std::uint64_t draw_dense(std::uint64_t* out,
+                                             unsigned words);
 };
 
 /// Applies circuits to PackedState, ideally or under a NoiseModel.
@@ -183,6 +261,13 @@ class PackedSimulator {
   /// Noisy simulator with explicit seed (reproducible).
   PackedSimulator(const NoiseModel& model, std::uint64_t seed);
 
+  /// Neither copyable nor movable: every mask stream points at this
+  /// simulator's own RNG, so a copy would draw its masks from the
+  /// source's RNG and dangle once the source is gone. Construct in
+  /// place (guaranteed elision covers returning one by value).
+  PackedSimulator(const PackedSimulator&) = delete;
+  PackedSimulator& operator=(const PackedSimulator&) = delete;
+
   /// Apply with no noise (useful for checking lane-parallel semantics
   /// against the scalar reference simulator).
   static void apply_ideal(PackedState& state, const Gate& g);
@@ -193,10 +278,16 @@ class PackedSimulator {
 
   /// Apply ops [first, last) of `c` noisily. The checked engine
   /// (detect/checked_mc) runs the segments between checkpoints through
-  /// this so per-gate cost matches the whole-circuit overload (the
-  /// inner loop lives in one TU and inlines the gate dispatch).
+  /// this, the whole-circuit overload runs [0, size).
   void apply_noisy_span(PackedState& state, const Circuit& c, std::size_t first,
                         std::size_t last);
+
+  /// Apply the ops of `c` at `positions` (each < c.size()) noisily, in
+  /// list order — the recovering engine's component replays. Same
+  /// per-gate stream as one apply_noisy(state, c.op(pos)) per entry,
+  /// at one width dispatch per list instead of one per gate.
+  void apply_noisy_ops(PackedState& state, const Circuit& c,
+                       std::span<const std::size_t> positions);
 
   /// Total number of (gate, lane) failures drawn so far — a cheap
   /// sanity diagnostic (its expectation is g * gates * lanes).

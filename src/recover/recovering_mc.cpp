@@ -170,25 +170,26 @@ void eval_boundary(const detect::CheckedCircuit& checked, const Segment& seg,
 }
 
 /// Re-run the ops of the components in `set` on `s` in original order
-/// (one noisy gate at a time, fresh masks); returns the op count. A
-/// single-component set walks the component's own op list, the same
-/// ops in the same order the component_of_op scan visits.
+/// (fresh masks) through the simulator's op-list kernel; returns the op
+/// count. A single-component set runs the component's own op list, the
+/// same ops in the same order the component_of_op scan visits; a wider
+/// set collects its ops into `positions` first.
 std::uint64_t replay_components(PackedSimulator& sim, PackedState& s,
                                 const Circuit& circuit, const Segment& seg,
-                                std::uint64_t set) {
+                                std::uint64_t set,
+                                std::vector<std::size_t>& positions) {
   if (std::has_single_bit(set)) {
     const auto& ops =
         seg.components[static_cast<std::size_t>(std::countr_zero(set))].ops;
-    for (const std::size_t pos : ops) sim.apply_noisy(s, circuit.op(pos));
+    sim.apply_noisy_ops(s, circuit, ops);
     return ops.size();
   }
-  std::uint64_t replayed = 0;
-  for (std::size_t k = 0; k < seg.component_of_op.size(); ++k) {
-    if (!((set >> seg.component_of_op[k]) & 1ULL)) continue;
-    sim.apply_noisy(s, circuit.op(seg.begin + k));
-    ++replayed;
-  }
-  return replayed;
+  positions.clear();
+  for (std::size_t k = 0; k < seg.component_of_op.size(); ++k)
+    if ((set >> seg.component_of_op[k]) & 1ULL)
+      positions.push_back(seg.begin + k);
+  sim.apply_noisy_ops(s, circuit, positions);
+  return positions.size();
 }
 
 /// Lane compaction of the retry paths. A replay group's consumers, or a
@@ -282,6 +283,8 @@ RecoveryEstimate run_recovering_mc_span(
   // Replay groups of one retry round: (fired-component set, lanes),
   // kept sorted by set.
   std::vector<std::pair<std::uint64_t, LaneMask>> groups;
+  // Op positions of a multi-component replay.
+  std::vector<std::size_t> replay_positions;
 
   const std::uint64_t batches =
       (trials + lanes_per_batch - 1) / lanes_per_batch;
@@ -392,7 +395,8 @@ RecoveryEstimate run_recovering_mc_span(
                 }
                 PackedState& replay = narrow != nullptr ? *narrow : scratch;
                 const std::uint64_t replay_ops =
-                    replay_components(sim, replay, circuit, seg, set);
+                    replay_components(sim, replay, circuit, seg, set,
+                                      replay_positions);
                 const std::uint64_t consumer_count = consumers.popcount();
                 est.ops_local += replay_ops * consumer_count;
                 est.local_retries += consumer_count;

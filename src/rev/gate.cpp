@@ -6,26 +6,6 @@
 
 namespace revft {
 
-int gate_arity(GateKind kind) noexcept {
-  switch (kind) {
-    case GateKind::kNot:
-      return 1;
-    case GateKind::kCnot:
-    case GateKind::kSwap:
-      return 2;
-    case GateKind::kToffoli:
-    case GateKind::kFredkin:
-    case GateKind::kSwap3:
-    case GateKind::kMaj:
-    case GateKind::kMajInv:
-    case GateKind::kInit3:
-    case GateKind::kF2g:
-    case GateKind::kNft:
-      return 3;
-  }
-  return 0;  // unreachable
-}
-
 bool gate_is_reversible(GateKind kind) noexcept {
   return kind != GateKind::kInit3;
 }

@@ -38,8 +38,27 @@ enum class GateKind : std::uint8_t {
 /// Number of distinct gate kinds (for histogram arrays).
 inline constexpr int kNumGateKinds = 11;
 
-/// Number of bits the gate acts on.
-int gate_arity(GateKind kind) noexcept;
+/// Number of bits the gate acts on. Inline and constexpr: the noisy
+/// gate kernels read it on every fault.
+constexpr int gate_arity(GateKind kind) noexcept {
+  switch (kind) {
+    case GateKind::kNot:
+      return 1;
+    case GateKind::kCnot:
+    case GateKind::kSwap:
+      return 2;
+    case GateKind::kToffoli:
+    case GateKind::kFredkin:
+    case GateKind::kSwap3:
+    case GateKind::kMaj:
+    case GateKind::kMajInv:
+    case GateKind::kInit3:
+    case GateKind::kF2g:
+    case GateKind::kNft:
+      return 3;
+  }
+  return 0;  // unreachable
+}
 
 /// True for every kind except kInit3.
 bool gate_is_reversible(GateKind kind) noexcept;

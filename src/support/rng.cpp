@@ -2,12 +2,6 @@
 
 namespace revft {
 
-namespace {
-inline std::uint64_t rotl(std::uint64_t x, int k) noexcept {
-  return (x << k) | (x >> (64 - k));
-}
-}  // namespace
-
 Xoshiro256::Xoshiro256(std::uint64_t seed) noexcept {
   SplitMix64 sm(seed);
   for (auto& word : s_) word = sm.next();
@@ -15,18 +9,6 @@ Xoshiro256::Xoshiro256(std::uint64_t seed) noexcept {
   // cannot produce four consecutive zeros from any seed, but guard
   // anyway so the invariant is locally visible.
   if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0) s_[0] = 0x9e3779b97f4a7c15ULL;
-}
-
-std::uint64_t Xoshiro256::next() noexcept {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
 }
 
 std::uint64_t Xoshiro256::next_below(std::uint64_t bound) noexcept {

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstdint>
 
 namespace revft {
@@ -48,9 +49,21 @@ class Xoshiro256 {
   static constexpr result_type min() noexcept { return 0; }
   static constexpr result_type max() noexcept { return ~0ULL; }
 
-  /// Next 64 uniformly distributed bits.
+  /// Next 64 uniformly distributed bits. Inline because the noisy gate
+  /// loops (noise/packed_sim.cpp) draw inside the loop: one word per
+  /// failing word of every operand bit, and one per geometric gap.
   result_type operator()() noexcept { return next(); }
-  result_type next() noexcept;
+  result_type next() noexcept {
+    const std::uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = std::rotl(s_[3], 45);
+    return result;
+  }
 
   /// Uniform double in [0, 1) with 53 bits of precision.
   double next_double() noexcept {

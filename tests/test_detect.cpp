@@ -22,18 +22,13 @@
 #include "rev/simulator.h"
 #include "support/error.h"
 #include "support/rng.h"
+#include "test_util.h"
 
 namespace revft {
 namespace {
 
-constexpr GateKind kAllKinds[] = {
-    GateKind::kNot,     GateKind::kCnot,    GateKind::kSwap,
-    GateKind::kToffoli, GateKind::kFredkin, GateKind::kSwap3,
-    GateKind::kMaj,     GateKind::kMajInv,  GateKind::kInit3,
-    GateKind::kF2g,     GateKind::kNft};
-
-static_assert(static_cast<int>(std::size(kAllKinds)) == kNumGateKinds,
-              "test table must cover every kind");
+using test_util::kAllKinds;
+using test_util::random_circuit;
 
 // --- parity predicate ------------------------------------------------
 
@@ -76,35 +71,6 @@ TEST(DetectGates, NewKindsAreSelfInverse) {
 }
 
 // --- the rail transform's conserved invariant ------------------------
-
-/// Random circuit over ALL kinds (init3 included) for invariant tests.
-Circuit random_circuit(Xoshiro256& rng, std::uint32_t width, int ops) {
-  static_assert(kNumGateKinds == 11,
-                "new gate kind: extend the switch below");
-  Circuit c(width);
-  for (int i = 0; i < ops; ++i) {
-    const auto pick = [&] {
-      return static_cast<std::uint32_t>(rng.next_below(width));
-    };
-    std::uint32_t a = pick(), b = pick(), d = pick();
-    while (b == a) b = pick();
-    while (d == a || d == b) d = pick();
-    switch (rng.next_below(11)) {
-      case 0: c.not_(a); break;
-      case 1: c.cnot(a, b); break;
-      case 2: c.swap(a, b); break;
-      case 3: c.toffoli(a, b, d); break;
-      case 4: c.fredkin(a, b, d); break;
-      case 5: c.swap3(a, b, d); break;
-      case 6: c.maj(a, b, d); break;
-      case 7: c.majinv(a, b, d); break;
-      case 8: c.f2g(a, b, d); break;
-      case 9: c.nft(a, b, d); break;
-      default: c.init3(a, b, d); break;
-    }
-  }
-  return c;
-}
 
 // In a fault-free run the invariant I = rail ^ XOR(data) holds at
 // every checkpoint, for every input, including dense checkpoints.

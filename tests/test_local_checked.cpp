@@ -23,18 +23,12 @@
 #include "noise/injection.h"
 #include "rev/simulator.h"
 #include "support/error.h"
+#include "test_util.h"
 
 namespace revft {
 namespace {
 
-constexpr GateKind kAllKinds[] = {
-    GateKind::kNot,     GateKind::kCnot,    GateKind::kSwap,
-    GateKind::kToffoli, GateKind::kFredkin, GateKind::kSwap3,
-    GateKind::kMaj,     GateKind::kMajInv,  GateKind::kInit3,
-    GateKind::kF2g,     GateKind::kNft};
-
-static_assert(static_cast<int>(std::size(kAllKinds)) == kNumGateKinds,
-              "test table must cover every kind");
+using test_util::kAllKinds;
 
 // The census itself is the one shared definition in
 // ft/detect_experiment (machine_detection_census), so this ctest gate

@@ -5,6 +5,7 @@
 
 #include <array>
 #include <cmath>
+#include <type_traits>
 
 #include "noise/injection.h"
 #include "noise/model.h"
@@ -15,6 +16,12 @@
 
 namespace revft {
 namespace {
+
+// Every mask stream of a simulator points at the simulator's own RNG,
+// so a copy would draw from the source's RNG (and dangle once the
+// source is gone): copying is a compile error.
+static_assert(!std::is_copy_constructible_v<PackedSimulator>);
+static_assert(!std::is_copy_assignable_v<PackedSimulator>);
 
 // --- NoiseModel -------------------------------------------------------
 

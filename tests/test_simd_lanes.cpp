@@ -26,7 +26,9 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "detect/checked_mc.h"
@@ -45,6 +47,7 @@
 #include "support/rng.h"
 #include "support/stats.h"
 #include "telemetry/metrics.h"
+#include "test_util.h"
 
 namespace revft {
 namespace {
@@ -166,6 +169,149 @@ TEST(MaskStream, GeometricGapStatisticsSpanWordBoundaries) {
   const double lanes = static_cast<double>(rounds) * 512.0;
   const double sigma = std::sqrt(p * (1.0 - p) * lanes);
   EXPECT_NEAR(static_cast<double>(set_bits), p * lanes, 5.0 * sigma);
+}
+
+// --- the noisy stream at every width, pinned to its documented form ---
+
+/// Reference of the noisy-gate semantics, written out the slow way:
+/// one Bernoulli stream per gate kind (constructed in kind order) on
+/// one shared RNG; per gate the ideal update, then W next_mask() calls
+/// on the kind's stream, then one rng.next() per (operand bit, failing
+/// word), bit-major with words ascending, replacing the failed lanes.
+struct ReferenceNoisy {
+  Xoshiro256 rng;
+  std::vector<BernoulliMaskStream> streams;
+  std::uint64_t faults = 0;
+
+  ReferenceNoisy(const NoiseModel& model, std::uint64_t seed) : rng(seed) {
+    streams.reserve(kNumGateKinds);
+    for (const GateKind kind : test_util::kAllKinds)
+      streams.emplace_back(model.error_for(kind), &rng);
+  }
+  ReferenceNoisy(const ReferenceNoisy&) = delete;
+  ReferenceNoisy& operator=(const ReferenceNoisy&) = delete;
+
+  void apply(PackedState& state, const Gate& g) {
+    PackedSimulator::apply_ideal(state, g);
+    const unsigned W = state.lane_words();
+    std::uint64_t fail[kMaxLaneWords] = {};
+    for (unsigned w = 0; w < W; ++w) {
+      fail[w] = streams[static_cast<std::size_t>(g.kind)].next_mask();
+      faults += static_cast<std::uint64_t>(std::popcount(fail[w]));
+    }
+    for (int i = 0; i < gate_arity(g.kind); ++i) {
+      std::uint64_t* words = state.words(g.bits[static_cast<std::size_t>(i)]);
+      for (unsigned w = 0; w < W; ++w)
+        if (fail[w] != 0)
+          words[w] = (words[w] & ~fail[w]) | (rng.next() & fail[w]);
+    }
+  }
+};
+
+void expect_same_run(const PackedState& want, const PackedState& got,
+                     ReferenceNoisy& ref, PackedSimulator& sim,
+                     const std::string& what) {
+  for (std::uint32_t bit = 0; bit < want.width(); ++bit)
+    for (unsigned w = 0; w < want.lane_words(); ++w)
+      ASSERT_EQ(got.words(bit)[w], want.words(bit)[w])
+          << what << " bit=" << bit << " word=" << w;
+  EXPECT_EQ(sim.faults_drawn(), ref.faults) << what;
+  // Same RNG position afterwards: the next word agrees. Draw it from
+  // copies so the reference stays usable for the next entry point.
+  Xoshiro256 ref_rng = ref.rng, sim_rng = sim.rng();
+  EXPECT_EQ(sim_rng.next(), ref_rng.next()) << what;
+}
+
+TEST(NoisyStream, EveryEntryPointMatchesTheReferenceAtEveryWidth) {
+  // Small g runs the geometric path (gaps spanning gates and words),
+  // 0.05 the per-lane threshold path, 0 and 1 the degenerate streams;
+  // the mixed model puts all of them into one circuit.
+  std::vector<std::pair<std::string, NoiseModel>> models;
+  for (const double g : {0.0, 1e-4, 1e-3, 0.05, 1.0})
+    models.emplace_back("g=" + std::to_string(g), NoiseModel::uniform(g));
+  NoiseModel mixed = NoiseModel::uniform(1e-3);
+  mixed.set_kind(GateKind::kCnot, 0.05)
+      .set_kind(GateKind::kSwap, 1.0)
+      .set_kind(GateKind::kMaj, 2e-2)
+      .with_perfect_init();
+  models.emplace_back("mixed", mixed);
+
+  Xoshiro256 gen(0x9e15e0ULL);
+  for (const auto& [name, model] : models) {
+    for (const unsigned W : {1u, 2u, 4u, 8u}) {
+      for (int rep = 0; rep < 3; ++rep) {
+        const std::uint32_t width =
+            3 + static_cast<std::uint32_t>(gen.next_below(10));
+        const Circuit c = test_util::random_circuit(gen, width, 1500);
+        const std::uint64_t seed = gen.next();
+        PackedState init(width, W);
+        for (std::uint32_t bit = 0; bit < width; ++bit)
+          for (unsigned w = 0; w < W; ++w) init.words(bit)[w] = gen.next();
+        const std::string tag =
+            name + " W=" + std::to_string(W) + " rep=" + std::to_string(rep);
+
+        ReferenceNoisy ref(model, seed);
+        PackedState want = init;
+        for (const Gate& g : c.ops()) ref.apply(want, g);
+        if (model.base_error() > 0.0) {
+          ASSERT_GT(ref.faults, 0u) << tag;
+        }
+
+        {
+          PackedSimulator sim(model, seed);
+          PackedState s = init;
+          for (const Gate& g : c.ops()) sim.apply_noisy(s, g);
+          expect_same_run(want, s, ref, sim, tag + " per-gate");
+        }
+        {
+          PackedSimulator sim(model, seed);
+          PackedState s = init;
+          sim.apply_noisy(s, c);
+          expect_same_run(want, s, ref, sim, tag + " circuit");
+        }
+        {
+          // Spans split at random points, empty spans included.
+          std::vector<std::size_t> cuts = {0, c.size()};
+          for (int k = 0; k < 6; ++k) cuts.push_back(gen.next_below(c.size()));
+          std::sort(cuts.begin(), cuts.end());
+          PackedSimulator sim(model, seed);
+          PackedState s = init;
+          for (std::size_t k = 0; k + 1 < cuts.size(); ++k)
+            sim.apply_noisy_span(s, c, cuts[k], cuts[k + 1]);
+          expect_same_run(want, s, ref, sim, tag + " spans");
+        }
+        {
+          // Op lists: every position, in chunks of random length.
+          std::vector<std::size_t> positions(c.size());
+          for (std::size_t i = 0; i < c.size(); ++i) positions[i] = i;
+          PackedSimulator sim(model, seed);
+          PackedState s = init;
+          for (std::size_t at = 0; at < positions.size();) {
+            const std::size_t n = std::min<std::size_t>(
+                positions.size() - at, 1 + gen.next_below(400));
+            sim.apply_noisy_ops(s, c, std::span(positions).subspan(at, n));
+            at += n;
+          }
+          expect_same_run(want, s, ref, sim, tag + " op lists");
+        }
+        {
+          // An op list that skips ops (a component replay) runs exactly
+          // the listed gates, in list order.
+          std::vector<std::size_t> positions;
+          for (std::size_t i = 0; i < c.size(); ++i)
+            if (gen.next_below(3) != 0) positions.push_back(i);
+          ReferenceNoisy sub_ref(model, seed);
+          PackedState sub_want = init;
+          for (const std::size_t pos : positions)
+            sub_ref.apply(sub_want, c.op(pos));
+          PackedSimulator sim(model, seed);
+          PackedState s = init;
+          sim.apply_noisy_ops(s, c, positions);
+          expect_same_run(sub_want, s, sub_ref, sim, tag + " sub-list");
+        }
+      }
+    }
+  }
 }
 
 // --- ideal kernels vs the scalar reference, every width ---------------

@@ -26,6 +26,7 @@
 #include "verify/certify.h"
 #include "verify/dataflow.h"
 #include "verify/lint.h"
+#include "test_util.h"
 
 namespace revft {
 namespace {
@@ -34,14 +35,8 @@ using verify::CheckStatus;
 using verify::DataflowOptions;
 using verify::Poly;
 
-constexpr GateKind kAllKinds[] = {
-    GateKind::kNot,     GateKind::kCnot,    GateKind::kSwap,
-    GateKind::kToffoli, GateKind::kFredkin, GateKind::kSwap3,
-    GateKind::kMaj,     GateKind::kMajInv,  GateKind::kInit3,
-    GateKind::kF2g,     GateKind::kNft};
-
-static_assert(static_cast<int>(std::size(kAllKinds)) == kNumGateKinds,
-              "test table must cover every kind");
+using test_util::kAllKinds;
+using test_util::random_circuit;
 
 // --- polynomial engine ----------------------------------------------
 
@@ -109,28 +104,6 @@ TEST(VerifyPoly, GateOutputAnfMatchesTruthTable) {
 
 // --- dataflow vs brute force ----------------------------------------
 
-Circuit random_circuit(std::uint32_t width, std::size_t ops, Xoshiro256& rng) {
-  Circuit circuit(width);
-  while (circuit.size() < ops) {
-    const GateKind kind =
-        kAllKinds[rng.next_below(static_cast<std::uint64_t>(kNumGateKinds))];
-    const int n = gate_arity(kind);
-    std::array<std::uint32_t, 3> bits{};
-    bool distinct = true;
-    for (int k = 0; k < n; ++k) {
-      bits[static_cast<std::size_t>(k)] =
-          static_cast<std::uint32_t>(rng.next_below(width));
-      for (int j = 0; j < k; ++j)
-        if (bits[static_cast<std::size_t>(j)] ==
-            bits[static_cast<std::size_t>(k)])
-          distinct = false;
-    }
-    if (!distinct) continue;
-    circuit.push(Gate{kind, bits});
-  }
-  return circuit;
-}
-
 /// Every non-top exit form must EXACTLY equal the simulated bit on
 /// every input — the soundness contract, under default and
 /// deliberately starved budgets alike.
@@ -154,7 +127,7 @@ TEST(VerifyDataflow, ExactOnRandomCircuitsAllKinds) {
   for (int trial = 0; trial < 12; ++trial) {
     const std::uint32_t width =
         4 + static_cast<std::uint32_t>(rng.next_below(7));  // 4..10
-    const Circuit circuit = random_circuit(width, 5 * width, rng);
+    const Circuit circuit = random_circuit(rng, width, 5 * width);
     DataflowOptions generous;
     generous.max_degree = 16;
     generous.max_terms = 4096;
@@ -169,7 +142,7 @@ TEST(VerifyDataflow, StarvedBudgetStaysSound) {
   starved.max_terms = 6;
   std::uint64_t tops = 0;
   for (int trial = 0; trial < 8; ++trial) {
-    const Circuit circuit = random_circuit(8, 48, rng);
+    const Circuit circuit = random_circuit(rng, 8, 48);
     expect_dataflow_exact(circuit, starved);
     tops += verify::analyze_dataflow(circuit, verify::identity_entry(8),
                                      starved)
