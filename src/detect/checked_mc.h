@@ -165,9 +165,9 @@ std::uint64_t apply_noisy_checked(PackedSimulator& sim, PackedState& state,
 /// word w, with the zero-check masks in the last slot group. At
 /// lane_words == 1 this is exactly the legacy overload above (same
 /// RNG stream, same masks, same layout). Checkpoints are evaluated
-/// off CheckedCircuit::checkpoint_spans when present (the flattened
-/// CSR fast path); hand-built circuits without spans fall back to the
-/// checkpoint_groups walk with identical results.
+/// off CheckedCircuit::checkpoint_spans (the flattened CSR view
+/// to_parity_rail builds); a circuit without them throws
+/// revft::Error.
 void apply_noisy_checked_words(PackedSimulator& sim, PackedState& state,
                                const CheckedCircuit& checked,
                                std::uint64_t* detected,

@@ -9,7 +9,7 @@ namespace revft::detect {
 
 namespace {
 
-/// Emits rail-compensation gates, optionally fusing them: every
+/// Emits rail-compensation gates, fusing them: every
 /// compensation is an "XOR f(controls) into rail" involution, so two
 /// identical ones cancel as long as no intervening op wrote a control
 /// (enforced by flushing on touch) and no checkpoint read the rail in
@@ -20,25 +20,20 @@ class CompensationEmitter {
  public:
   CompensationEmitter(Circuit& out, std::uint32_t data_width,
                       std::uint64_t& rail_ops,
-                      std::vector<std::uint64_t>& per_rail_ops, bool fuse)
+                      std::vector<std::uint64_t>& per_rail_ops)
       : out_(out),
         data_width_(data_width),
         rail_ops_(rail_ops),
-        per_rail_ops_(per_rail_ops),
-        fuse_(fuse) {}
+        per_rail_ops_(per_rail_ops) {}
 
   /// Number of add() calls so far (fusion cancellations included) —
   /// the transform's "this op needed compensation" signal.
   std::uint64_t adds() const noexcept { return adds_; }
 
-  /// Queue (or directly emit) one compensation gate. `controls` is how
-  /// many leading operands are reads; the last operand is the rail.
+  /// Queue one compensation gate, or cancel it against its pending
+  /// twin. The last operand is the rail; the others are reads.
   void add(const Gate& comp) {
     ++adds_;
-    if (!fuse_) {
-      emit(comp);
-      return;
-    }
     const auto match = std::find(pending_.begin(), pending_.end(), comp);
     if (match != pending_.end())
       pending_.erase(match);  // involution pair: identity on the rail
@@ -88,7 +83,6 @@ class CompensationEmitter {
   std::uint32_t data_width_;
   std::uint64_t& rail_ops_;
   std::vector<std::uint64_t>& per_rail_ops_;
-  bool fuse_;
   std::uint64_t adds_ = 0;
   std::vector<Gate> pending_;
 };
@@ -258,6 +252,25 @@ void subset_compensation(CompensationEmitter& comp, const Gate& g,
   }
 }
 
+/// Flatten checkpoint_groups into the CSR spans the packed checkers
+/// evaluate.
+void build_checkpoint_spans(CheckedCircuit& checked) {
+  checked.checkpoint_spans.reserve(checked.checkpoint_groups.size());
+  for (const auto& groups : checked.checkpoint_groups) {
+    CheckpointSpan span;
+    span.rail_first.reserve(groups.size() + 1);
+    span.rail_first.push_back(0);
+    std::size_t total = 0;
+    for (const auto& group : groups) total += group.size();
+    span.bits.reserve(total);
+    for (const auto& group : groups) {
+      span.bits.insert(span.bits.end(), group.begin(), group.end());
+      span.rail_first.push_back(static_cast<std::uint32_t>(span.bits.size()));
+    }
+    checked.checkpoint_spans.push_back(std::move(span));
+  }
+}
+
 }  // namespace
 
 CheckedCircuit to_parity_rail(const Circuit& circuit,
@@ -322,7 +335,7 @@ CheckedCircuit to_parity_rail(const Circuit& circuit,
       (opts.embed_checkers ? static_cast<std::uint32_t>(n_checkpoints) : 0);
   Circuit out(width);
   CompensationEmitter comp(out, checked.data_width, checked.rail_ops,
-                           per_rail_ops, opts.fuse_compensation);
+                           per_rail_ops);
 
   std::uint32_t next_check_bit = checked.parity_rail + n_rails;
   auto checkpoint = [&] {
@@ -448,24 +461,6 @@ CheckedCircuit to_parity_rail(const Circuit& circuit,
   checked.circuit = std::move(out);
   build_checkpoint_spans(checked);
   return checked;
-}
-
-void build_checkpoint_spans(CheckedCircuit& checked) {
-  checked.checkpoint_spans.clear();
-  checked.checkpoint_spans.reserve(checked.checkpoint_groups.size());
-  for (const auto& groups : checked.checkpoint_groups) {
-    CheckpointSpan span;
-    span.rail_first.reserve(groups.size() + 1);
-    span.rail_first.push_back(0);
-    std::size_t total = 0;
-    for (const auto& group : groups) total += group.size();
-    span.bits.reserve(total);
-    for (const auto& group : groups) {
-      span.bits.insert(span.bits.end(), group.begin(), group.end());
-      span.rail_first.push_back(static_cast<std::uint32_t>(span.bits.size()));
-    }
-    checked.checkpoint_spans.push_back(std::move(span));
-  }
 }
 
 std::vector<std::uint32_t> known_zero_outside(

@@ -40,6 +40,15 @@
 // triple, a conditional Fredkin swap) are compensated per rail with
 // the exact parity delta of each group's operand subset.
 //
+// Compensations are fused between checkpoints: rail updates are XOR
+// terms, so two identical ones with unchanged controls cancel — a
+// MAJ ... MAJ⁻¹ span needs no rail traffic at all. A pending
+// compensation is forced out early whenever a gate writes one of its
+// controls, and every checkpoint flushes the buffer, so the invariants
+// hold exactly where they are checked. Fusing removes fault locations
+// (fewer fallible ops), which slightly reshapes WHAT is detectable —
+// the exhaustive census is the arbiter.
+//
 // Checkpoints are recorded op positions; the online checkers
 // (detect/checker.h for the scalar engine, detect/checked_mc.h for
 // the 64-lane packed engine) evaluate every I_r there without adding
@@ -104,16 +113,6 @@ struct ParityRailOptions {
   /// check bit, which ideally stays 0 (the combined invariant — the
   /// per-rail split is an online-checker refinement).
   bool embed_checkers = false;
-  /// Cancel compensation pairs between checkpoints: rail updates are
-  /// XOR terms, so two identical ones with unchanged controls are the
-  /// identity — a MAJ ... MAJ⁻¹ span needs no rail traffic at all. A
-  /// pending compensation is forced out early whenever a gate writes
-  /// one of its controls, and every checkpoint flushes the buffer, so
-  /// the invariant still holds exactly where it is checked. Fusing
-  /// removes fault locations (that is the point: fewer fallible ops),
-  /// which slightly reshapes WHAT is detectable — the census is the
-  /// arbiter either way.
-  bool fuse_compensation = true;
   /// Bits promised zero at circuit entry (a §3 machine's ancilla
   /// cells). The transform propagates zero-ness exactly through every
   /// gate kind and elides the encoder/compensation gates whose parity
@@ -188,7 +187,7 @@ struct RailInfo {
 /// walking a vector<vector<uint32_t>> of groups there is pure pointer
 /// chasing; this packs all watched bits of the checkpoint rail-major
 /// into one contiguous array with CSR offsets, precomputed once at
-/// build time (see build_checkpoint_spans).
+/// build time by to_parity_rail.
 struct CheckpointSpan {
   /// Watched data bits at this checkpoint, rail-major: rail r's group
   /// occupies bits[rail_first[r] .. rail_first[r+1]).
@@ -220,9 +219,9 @@ struct CheckedCircuit {
   /// wherever routing left block r.
   std::vector<std::vector<std::vector<std::uint32_t>>> checkpoint_groups;
   /// Flattened checkpoint_groups for the checkers' hot path, aligned
-  /// with `checkpoints`. to_parity_rail fills this; hand-assembled
-  /// CheckedCircuits may leave it empty (engines fall back to the
-  /// group walk) or call build_checkpoint_spans.
+  /// with `checkpoints`. to_parity_rail always fills it; the packed
+  /// engines (detect/checked_mc.h, recover/recovering_mc.h) read only
+  /// this view and throw when it is missing.
   std::vector<CheckpointSpan> checkpoint_spans;
   /// Original ops that queued at least one rail-compensation gate
   /// (before fusion; the transform's exact "not free" count — SWAPs
@@ -267,13 +266,6 @@ std::vector<std::uint32_t> known_zero_outside(
 /// a rail partition: block s of a 9-cell-per-block machine is group s.
 std::vector<std::vector<std::uint32_t>> partition_into_blocks(
     std::uint32_t width, std::uint32_t block_size);
-
-/// (Re)build checked.checkpoint_spans from checked.checkpoint_groups —
-/// the flattened CSR view the packed checkers evaluate checkpoints
-/// from. to_parity_rail calls this; circuits assembled by hand only
-/// need it if they want the fast path (the engines fall back to the
-/// group walk when spans are absent).
-void build_checkpoint_spans(CheckedCircuit& checked);
 
 /// Register a zero check after ORIGINAL op `source_op`: in a fault-free
 /// run every bit of `bits` is zero once that op has executed, so a

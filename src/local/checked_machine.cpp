@@ -11,7 +11,6 @@ detect::ParityRailOptions boundary_rail_options(
     const CheckedMachineOptions& opts) {
   detect::ParityRailOptions rail;
   rail.check_every = opts.check_every;
-  rail.fuse_compensation = opts.fuse_compensation;
   // The §3 block layout as a rail partition: one group per 9-cell
   // block (a 3x3 patch in 2D, a 9-cell line segment in 1D).
   if (opts.rails == RailGranularity::kPerBlock)
@@ -25,11 +24,12 @@ detect::ParityRailOptions boundary_rail_options(
     if (opts.zero_checks)
       rail.zero_checks.push_back({boundary.op_index, boundary.clean_cells});
   }
-  // Elision is only sound under the zero-check net (see the known_zero
-  // contract in detect/rail.h), so the promise is armed only when the
-  // boundaries provide one — a zero_checks=false ablation then really
-  // measures the plain rail.
-  if (opts.trust_entry_zeros && opts.zero_checks && !boundaries.empty())
+  // Every non-data cell is zero at entry (the machines' preparation
+  // contract), but elision is only sound under the zero-check net (see
+  // the known_zero contract in detect/rail.h), so the promise is armed
+  // only when the boundaries provide one — a zero_checks=false ablation
+  // then really measures the plain rail.
+  if (opts.zero_checks && !boundaries.empty())
     rail.known_zero = detect::known_zero_outside(width, entry_data_bits);
   return rail;
 }
@@ -95,19 +95,18 @@ std::vector<std::array<std::uint32_t, 3>> entry_cells(
   return cells;
 }
 
-}  // namespace
-
-CheckedMachine1d::CheckedMachine1d(std::uint32_t logical_bits, bool with_init,
-                                   CheckedMachineOptions opts)
-    : base_(logical_bits, with_init, opts.schedule.enabled), opts_(opts) {}
-
-CheckedMachineProgram CheckedMachine1d::compile(const Circuit& logical) const {
-  Machine1dProgram program = base_.compile(logical);
-  schedule_program(program, opts_.schedule);
+/// Route, schedule and rail-transform `logical` on `base`; `offsets`
+/// are the entry data cells of block 0 (9*i + offsets for block i).
+template <typename Machine>
+CheckedMachineProgram compile_checked(
+    const Machine& base, const CheckedMachineOptions& opts,
+    const std::array<std::uint32_t, 3>& offsets, const Circuit& logical) {
+  auto program = base.compile(logical);
+  schedule_program(program, opts.schedule);
   CheckedMachineProgram out = check_machine_program(
       program.physical, program.slot_of_logical,
-      entry_cells(base_.logical_bits(), {0, 3, 6}), program.data_cells,
-      program.recovery_boundaries, program.routing_spans, opts_);
+      entry_cells(base.logical_bits(), offsets), program.data_cells,
+      program.recovery_boundaries, program.routing_spans, opts);
   out.block_transpositions = program.block_transpositions;
   out.routing_cell_swaps = program.routing_cell_swaps;
   out.gate_cycles = program.gate_cycles;
@@ -115,22 +114,22 @@ CheckedMachineProgram CheckedMachine1d::compile(const Circuit& logical) const {
   return out;
 }
 
+}  // namespace
+
+CheckedMachine1d::CheckedMachine1d(std::uint32_t logical_bits, bool with_init,
+                                   CheckedMachineOptions opts)
+    : base_(logical_bits, with_init, opts.schedule.enabled), opts_(opts) {}
+
+CheckedMachineProgram CheckedMachine1d::compile(const Circuit& logical) const {
+  return compile_checked(base_, opts_, {0, 3, 6}, logical);
+}
+
 CheckedMachine2d::CheckedMachine2d(std::uint32_t logical_bits, bool with_init,
                                    CheckedMachineOptions opts)
     : base_(logical_bits, with_init, opts.schedule.enabled), opts_(opts) {}
 
 CheckedMachineProgram CheckedMachine2d::compile(const Circuit& logical) const {
-  Machine2dProgram program = base_.compile(logical);
-  schedule_program(program, opts_.schedule);
-  CheckedMachineProgram out = check_machine_program(
-      program.physical, program.slot_of_logical,
-      entry_cells(base_.logical_bits(), {0, 1, 2}), program.data_cells,
-      program.recovery_boundaries, program.routing_spans, opts_);
-  out.block_transpositions = program.block_transpositions;
-  out.routing_cell_swaps = program.routing_cell_swaps;
-  out.gate_cycles = program.gate_cycles;
-  out.recovery_stages = program.recovery_stages;
-  return out;
+  return compile_checked(base_, opts_, {0, 1, 2}, logical);
 }
 
 }  // namespace revft

@@ -87,6 +87,13 @@ struct CheckedMachineOptions {
   RailGranularity rails = RailGranularity::kPerBlock;
   /// Register each recovery boundary's clean cells as a ZeroCheck (the
   /// even-weight net; disable to measure what the rails alone catch).
+  /// The net also arms the rail transform's entry promise that every
+  /// non-data cell is zero (true for every census and Monte-Carlo
+  /// preparation of the machines): the known-zero dataflow then elides
+  /// the encoder and compensation gates that are provably no-ops
+  /// fault-free — most of the recovery stages' rail traffic. Elision is
+  /// only sound under covering zero checks (ParityRailOptions::
+  /// known_zero), so with this off the machines run the plain rail.
   bool zero_checks = true;
   /// Also evaluate the GLOBAL rail invariant at every recovery
   /// boundary (on top of the boundary zero checks, which always sit
@@ -103,19 +110,6 @@ struct CheckedMachineOptions {
   /// Extra periodic rail checkpoints every N original ops on top of
   /// the boundary checkpoints (0 = boundaries + final only).
   std::size_t check_every = 0;
-  /// Passed through to detect::to_parity_rail.
-  bool fuse_compensation = true;
-  /// Promise the rail transform that every non-data cell is zero at
-  /// program entry (true for every census/Monte-Carlo preparation in
-  /// this repo). The known-zero dataflow then elides the encoder and
-  /// compensation gates that are provably no-ops fault-free — most of
-  /// the recovery stages' rail traffic — cutting the checked overhead
-  /// sharply. Elision narrows the rail's guarantee to states reachable
-  /// from the promise (see ParityRailOptions::known_zero), so it only
-  /// takes effect together with `zero_checks`, whose boundary checks
-  /// cover the promised cells; the census proves the combination
-  /// fault-secure. Disable when feeding inputs with nonzero ancillas.
-  bool trust_entry_zeros = true;
   /// Partition-aware scheduling pass (local/schedule.h), run on the
   /// compiled program before the rail transform: wave-packs routing
   /// and places interior recovery boundaries aligned with the
@@ -124,6 +118,8 @@ struct CheckedMachineOptions {
   /// (pre-scheduling) layout, bit-identical to the PR 5 compiler
   /// output — the pinned-census regression configuration.
   ScheduleOptions schedule;
+
+  bool operator==(const CheckedMachineOptions&) const = default;
 };
 
 /// Self-checking accounting of one compiled program.

@@ -37,18 +37,7 @@ ProgramCache::Key ProgramCache::make_key(MachineKind kind,
                                          const Circuit& logical,
                                          bool with_init,
                                          const CheckedMachineOptions& opts) {
-  return Key{kind,
-             logical.width(),
-             with_init,
-             opts.rails,
-             opts.zero_checks,
-             opts.rail_check_every_boundary,
-             opts.check_every,
-             opts.fuse_compensation,
-             opts.trust_entry_zeros,
-             opts.schedule.enabled,
-             opts.schedule.min_wave_cut,
-             fingerprint(logical)};
+  return Key{kind, logical.width(), with_init, opts, fingerprint(logical)};
 }
 
 std::shared_ptr<const CachedMachineProgram> ProgramCache::get(

@@ -70,20 +70,15 @@ class ProgramCache {
   void export_metrics(telemetry::MetricsRegistry& metrics) const;
 
  private:
-  /// Every compilation input, flattened. `workload` fingerprints the
-  /// logical circuit (width + FNV-1a over the gate stream).
+  /// Every compilation input. The options are stored whole, so a new
+  /// option joins the key through CheckedMachineOptions::operator==
+  /// alone. `workload` fingerprints the logical circuit (width +
+  /// FNV-1a over the gate stream).
   struct Key {
     MachineKind kind;
     std::uint32_t logical_bits;
     bool with_init;
-    RailGranularity rails;
-    bool zero_checks;
-    bool rail_check_every_boundary;
-    std::size_t check_every;
-    bool fuse_compensation;
-    bool trust_entry_zeros;
-    bool schedule_enabled;
-    std::size_t min_wave_cut;
+    CheckedMachineOptions opts;
     std::uint64_t workload;
 
     bool operator==(const Key&) const = default;

@@ -13,6 +13,11 @@ namespace {
 
 constexpr std::size_t kNoBoundary = static_cast<std::size_t>(-1);
 
+/// Cut after a routing wave only when it packs at least this many
+/// territory-disjoint transpositions; smaller waves flow forward into
+/// the next segment instead of forming a 1.0-share sliver.
+constexpr std::size_t kMinWaveCut = 2;
+
 /// One indivisible piece of the program: a block transposition (one
 /// routing span), a recovery stage (the [first_op, op_index] interval
 /// of a boundary), or a leftover contiguous run — in the current
@@ -232,7 +237,7 @@ ScheduleStats schedule_impl(
                  atoms[a + group].kind == Atom::Kind::kTransposition &&
                  atoms[a + group].wave == at.wave)
             ++group;
-          if (group >= opts.min_wave_cut) {
+          if (group >= kMinWaveCut) {
             cut_at(atoms[a - 1].last);
             ++stats.chain_cuts;
             pending_singletons = false;
@@ -245,7 +250,7 @@ ScheduleStats schedule_impl(
             atoms[a + 1].kind != Atom::Kind::kTransposition ||
             atoms[a + 1].wave != at.wave;
         if (wave_ends) {
-          if (wave_size >= opts.min_wave_cut) {
+          if (wave_size >= kMinWaveCut) {
             cut_at(at.last);
             ++stats.wave_cuts;
             pending_singletons = false;

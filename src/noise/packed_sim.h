@@ -177,6 +177,15 @@ class BernoulliMaskStream {
  public:
   BernoulliMaskStream(double p, Xoshiro256* rng);
 
+  /// Move-only: the stream draws from a generator it does not own, so
+  /// a copy would silently share that generator's position with the
+  /// original. Moves hand the pointer over (PackedSimulator keeps its
+  /// streams in a vector next to the RNG they point at).
+  BernoulliMaskStream(const BernoulliMaskStream&) = delete;
+  BernoulliMaskStream& operator=(const BernoulliMaskStream&) = delete;
+  BernoulliMaskStream(BernoulliMaskStream&&) = default;
+  BernoulliMaskStream& operator=(BernoulliMaskStream&&) = default;
+
   std::uint64_t next_mask() {
     std::uint64_t mask = 0;
     draw_batch<1>(&mask);

@@ -94,7 +94,7 @@ struct TraceHooks {
 /// only: replay and restart re-evaluations pass a null est and stay
 /// silent, so the event stream matches the estimate's attribution
 /// exactly). Checkpoint membership is read off the flattened
-/// checkpoint_spans when present, else the checkpoint_groups walk.
+/// checkpoint_spans.
 void eval_boundary(const detect::CheckedCircuit& checked, const Segment& seg,
                    const PackedState& s, std::uint64_t watch,
                    std::vector<std::uint64_t>& comp_fired,
@@ -107,27 +107,17 @@ void eval_boundary(const detect::CheckedCircuit& checked, const Segment& seg,
   std::uint64_t violated[kMaxLaneWords];
   if (seg.checkpoint >= 0) {
     const std::size_t cp = static_cast<std::size_t>(seg.checkpoint);
-    const bool use_spans =
-        checked.checkpoint_spans.size() == checked.checkpoints.size();
-    const auto& groups = checked.checkpoint_groups[cp];
+    const detect::CheckpointSpan& span = checked.checkpoint_spans[cp];
     for (std::size_t r = 0; r < checked.rails.size(); ++r) {
       const std::uint32_t c = seg.component_of_rail[r];
       if (!((watch >> c) & 1ULL)) continue;
       const std::uint64_t* rail = s.words(checked.rails[r].rail_bit);
       for (unsigned w = 0; w < W; ++w) violated[w] = rail[w];
-      if (use_spans) {
-        const detect::CheckpointSpan& span = checked.checkpoint_spans[cp];
-        const std::uint32_t first = span.rail_first[r];
-        const std::uint32_t last = span.rail_first[r + 1];
-        for (std::uint32_t i = first; i < last; ++i) {
-          const std::uint64_t* src = s.words(span.bits[i]);
-          for (unsigned w = 0; w < W; ++w) violated[w] ^= src[w];
-        }
-      } else {
-        for (const std::uint32_t bit : groups[r]) {
-          const std::uint64_t* src = s.words(bit);
-          for (unsigned w = 0; w < W; ++w) violated[w] ^= src[w];
-        }
+      const std::uint32_t first = span.rail_first[r];
+      const std::uint32_t last = span.rail_first[r + 1];
+      for (std::uint32_t i = first; i < last; ++i) {
+        const std::uint64_t* src = s.words(span.bits[i]);
+        for (unsigned w = 0; w < W; ++w) violated[w] ^= src[w];
       }
       for (unsigned w = 0; w < W; ++w) comp_fired[c * W + w] |= violated[w];
       if (est != nullptr) {
@@ -262,6 +252,9 @@ RecoveryEstimate run_recovering_mc_span(
   const Circuit& circuit = checked.circuit;
   REVFT_CHECK_MSG(plan.total_ops == circuit.size(),
                   "run_recovering_mc_span: plan built for a different circuit");
+  REVFT_CHECK_MSG(checked.checkpoint_spans.size() == checked.checkpoints.size(),
+                  "run_recovering_mc_span: checkpoint_spans missing (build "
+                  "the circuit with to_parity_rail)");
   RecoveryEstimate est;
   est.rail_events.assign(checked.rails.size(), 0);
   const TraceHooks hooks = TraceHooks::resolve(trace, checked.rails.size(),

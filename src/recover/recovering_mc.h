@@ -72,7 +72,9 @@ using ClassifyFn =
 /// The recovering counterpart of detail::run_checked_mc_span: one
 /// simulator, a contiguous batch range, retries included. Out-of-line
 /// (not a template) — the segment walk is involved enough that one
-/// canonical definition beats inlining per kernel type.
+/// canonical definition beats inlining per kernel type. Checkpoints
+/// are evaluated off CheckedCircuit::checkpoint_spans; a circuit
+/// without them (one not built by to_parity_rail) throws revft::Error.
 ///
 /// `trace` (nullable) receives the full per-boundary story: recover.*
 /// counters (per-rail events, per-segment replays and replayed ops,

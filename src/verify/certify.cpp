@@ -243,8 +243,7 @@ std::uint64_t anf_eval_packed(GateKind kind, int out,
 FaultSecurityCertificate certify_single_faults(
     const detect::CheckedCircuit& checked, const std::vector<Poly>& data_entry,
     const std::vector<std::uint64_t>& assignments,
-    const std::vector<std::array<std::uint32_t, 3>>& codewords,
-    const DataflowOptions& /*opts*/) {
+    const std::vector<std::array<std::uint32_t, 3>>& codewords) {
   for (const Poly& p : data_entry)
     REVFT_CHECK_MSG(!p.is_top(), "certify: top form in the entry binding");
   const CleanContext ctx(checked, data_entry, assignments);
@@ -378,8 +377,7 @@ FaultSecurityCertificate certify_single_faults(
 }
 
 MachineCertification certify_machine_program(
-    const CheckedMachineProgram& program, const Circuit& logical,
-    const DataflowOptions& opts) {
+    const CheckedMachineProgram& program, const Circuit& logical) {
   REVFT_CHECK_MSG(program.logical_bits == logical.width(),
                   "certify_machine_program: logical width mismatch");
   REVFT_CHECK_MSG(program.logical_bits <= 6,
@@ -429,8 +427,8 @@ MachineCertification certify_machine_program(
 
   std::vector<std::array<std::uint32_t, 3>> codewords(
       program.output_cells.begin(), program.output_cells.end());
-  out.certificate = certify_single_faults(program.checked, entry, assignments,
-                                          codewords, opts);
+  out.certificate =
+      certify_single_faults(program.checked, entry, assignments, codewords);
   return out;
 }
 

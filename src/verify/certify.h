@@ -19,7 +19,8 @@
 // suffix states). The entry binding is symbolic — forms from
 // verify/dataflow.h over up to 64 entry variables — and the clean
 // trajectory they induce per assignment is computed once, shared by
-// every scenario.
+// every scenario. The walk is exact over GF(2), so no DataflowOptions
+// budget applies.
 //
 // The verdict per (op, value) pair is trichotomous:
 //   - decided: every input's (detected, wrong) outcome is established
@@ -117,8 +118,7 @@ struct FaultSecurityCertificate {
 FaultSecurityCertificate certify_single_faults(
     const detect::CheckedCircuit& checked, const std::vector<Poly>& data_entry,
     const std::vector<std::uint64_t>& assignments,
-    const std::vector<std::array<std::uint32_t, 3>>& codewords,
-    const DataflowOptions& opts = {});
+    const std::vector<std::array<std::uint32_t, 3>>& codewords);
 
 /// A machine-program certificate bundled with the ingredients of its
 /// dynamic cross-check (the same inputs/is_error the census uses).
@@ -140,7 +140,6 @@ struct MachineCertification {
 /// judges wrongness against the clean majority). Requires
 /// logical_bits <= 6 (2^6 = 64 assignments).
 MachineCertification certify_machine_program(
-    const CheckedMachineProgram& program, const Circuit& logical,
-    const DataflowOptions& opts = {});
+    const CheckedMachineProgram& program, const Circuit& logical);
 
 }  // namespace revft::verify

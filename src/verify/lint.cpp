@@ -70,9 +70,8 @@ void lint_coverage(const detect::CheckedCircuit& checked, LintReport& report) {
 /// Pass 2: dataflow — spurious / unprovable checks, dead compensation.
 void lint_dataflow(const detect::CheckedCircuit& checked,
                    const std::vector<Poly>& data_entry,
-                   const LintOptions& opts, LintReport& report) {
-  const CheckedDataflow df =
-      analyze_checked(checked, data_entry, opts.dataflow);
+                   LintReport& report) {
+  const CheckedDataflow df = analyze_checked(checked, data_entry);
 
   for (const RailInvariantReport& r : df.rail_reports) {
     if (r.status == CheckStatus::kProven) continue;
@@ -136,7 +135,7 @@ void lint_dataflow(const detect::CheckedCircuit& checked,
       toggle = before[g.bits[0]];
       rail_bit = g.bits[1];
     } else if (g.kind == GateKind::kToffoli && is_rail_bit(g.bits[2])) {
-      toggle = poly_and(before[g.bits[0]], before[g.bits[1]], opts.dataflow);
+      toggle = poly_and(before[g.bits[0]], before[g.bits[1]], DataflowOptions{});
       rail_bit = g.bits[2];
     } else {
       continue;  // NOT toggles unconditionally; other kinds never
@@ -248,13 +247,12 @@ void lint_replay(const detect::CheckedCircuit& checked, LintReport& report) {
 }  // namespace
 
 LintReport lint_checked_circuit(const detect::CheckedCircuit& checked,
-                                const std::vector<Poly>& data_entry,
-                                const LintOptions& opts) {
+                                const std::vector<Poly>& data_entry) {
   LintReport report;
   lint_coverage(checked, report);
-  lint_dataflow(checked, data_entry, opts, report);
+  lint_dataflow(checked, data_entry, report);
   const bool membership_ok = lint_membership(checked, report);
-  if (opts.replay_components && membership_ok && checked.check_bits.empty())
+  if (membership_ok && checked.check_bits.empty())
     lint_replay(checked, report);
   return report;
 }

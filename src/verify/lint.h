@@ -15,8 +15,10 @@
 //   info     — wasted work (compensation gates that provably never
 //              toggle — elision opportunities the transform missed).
 //
-// examples/circuit_lint.cpp runs the pass over the repo's standard
-// constructions and over deliberately mis-configured ones.
+// The pass takes no options: the dataflow runs at its default budget
+// and the replay-component pass runs wherever a segment plan can be
+// built. examples/circuit_lint.cpp (a ctest smoke run) lints the
+// repo's standard constructions and deliberately mis-configured ones.
 #pragma once
 
 #include <cstddef>
@@ -92,20 +94,14 @@ struct LintReport {
   bool clean() const noexcept { return findings.empty(); }
 };
 
-struct LintOptions {
-  DataflowOptions dataflow;
-  /// Run the segment-plan pass (kGluedReplayComponents). Skipped
-  /// automatically for circuits with embedded checker bits, which
-  /// build_segment_plan rejects.
-  bool replay_components = true;
-};
-
 /// Lint a checked circuit against an entry binding (the same binding
 /// the certifier uses; identity_entry(data_width) when nothing is
 /// known about the inputs — fewer zero facts simply mean fewer
-/// provable checks).
+/// provable checks). The dataflow runs at the default DataflowOptions
+/// budget; the segment-plan pass (kGluedReplayComponents) is skipped
+/// for circuits with embedded checker bits, which build_segment_plan
+/// rejects, and when the membership pass found a mismatch.
 LintReport lint_checked_circuit(const detect::CheckedCircuit& checked,
-                                const std::vector<Poly>& data_entry,
-                                const LintOptions& opts = {});
+                                const std::vector<Poly>& data_entry);
 
 }  // namespace revft::verify

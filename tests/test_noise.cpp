@@ -22,6 +22,12 @@ namespace {
 // source is gone): copying is a compile error.
 static_assert(!std::is_copy_constructible_v<PackedSimulator>);
 static_assert(!std::is_copy_assignable_v<PackedSimulator>);
+// A stream does not own its generator either: copies would share it;
+// moves stay (the simulator's stream vector and the tests need them).
+static_assert(!std::is_copy_constructible_v<BernoulliMaskStream>);
+static_assert(!std::is_copy_assignable_v<BernoulliMaskStream>);
+static_assert(std::is_move_constructible_v<BernoulliMaskStream>);
+static_assert(std::is_move_assignable_v<BernoulliMaskStream>);
 
 // --- NoiseModel -------------------------------------------------------
 

@@ -16,8 +16,9 @@
 // width, different widths agree statistically (they run DIFFERENT
 // trials — same distribution, different stream; for the recovering
 // engine, whose retries run lane-compacted at W > 1, this is the
-// contract that replaces stream identity), checkpoint spans evaluate
-// identically to the group walk, multi-word checkpoint blends and lane
+// contract that replaces stream identity), checkpoint spans mirror the
+// checkpoint groups and the engines refuse circuits without them,
+// multi-word checkpoint blends and lane
 // gathers/scatters move exactly the selected lanes, and the
 // compiled-program cache serves hits without recompiling.
 #include <gtest/gtest.h>
@@ -43,7 +44,10 @@
 #include "noise/packed_sim.h"
 #include "noise/parallel_mc.h"
 #include "recover/checkpoint.h"
+#include "recover/plan.h"
+#include "recover/recovering_mc.h"
 #include "rev/simulator.h"
+#include "support/error.h"
 #include "support/rng.h"
 #include "support/stats.h"
 #include "telemetry/metrics.h"
@@ -601,7 +605,7 @@ TEST(WideEngine, RecoveringThreadCountInvariantWide) {
   }
 }
 
-// --- checkpoint spans vs the group walk -------------------------------
+// --- checkpoint spans --------------------------------------------------
 
 TEST(CheckpointSpans, BuiltForEveryCheckpointAndConsistent) {
   Circuit logical(4);
@@ -622,31 +626,43 @@ TEST(CheckpointSpans, BuiltForEveryCheckpointAndConsistent) {
   }
 }
 
-TEST(CheckpointSpans, SpanEvaluationMatchesGroupWalk) {
+/// Runs `fn`, which must throw revft::Error, and returns the message.
+template <typename Fn>
+std::string thrown_message(Fn&& fn) {
+  try {
+    fn();
+  } catch (const Error& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "no revft::Error thrown";
+  return {};
+}
+
+TEST(CheckpointSpans, EnginesRejectCircuitWithoutSpans) {
   Circuit logical(4);
   logical.toffoli(0, 1, 2).maj(1, 2, 3);
   const auto with_spans = CheckedMachine1d(4).compile(logical).checked;
+  const recover::SegmentPlan plan = recover::build_segment_plan(with_spans);
   detect::CheckedCircuit without_spans = with_spans;
-  without_spans.checkpoint_spans.clear();  // forces the group-walk path
+  without_spans.checkpoint_spans.clear();
 
-  for (const unsigned W : {1u, 4u}) {
-    PackedSimulator sim_a(NoiseModel::uniform(3e-3), 2024);
-    PackedSimulator sim_b(NoiseModel::uniform(3e-3), 2024);
-    PackedState state_a(with_spans.circuit.width(), W);
-    PackedState state_b(without_spans.circuit.width(), W);
-    std::uint64_t det_a[kMaxLaneWords], det_b[kMaxLaneWords];
-    for (int round = 0; round < 32; ++round) {
-      detect::apply_noisy_checked_words(sim_a, state_a, with_spans, det_a);
-      detect::apply_noisy_checked_words(sim_b, state_b, without_spans, det_b);
-      for (unsigned w = 0; w < W; ++w)
-        ASSERT_EQ(det_a[w], det_b[w]) << "W=" << W << " round=" << round;
-      for (std::uint32_t bit = 0; bit < state_a.width(); ++bit)
-        for (unsigned w = 0; w < W; ++w)
-          ASSERT_EQ(state_a.words(bit)[w], state_b.words(bit)[w]);
-      state_a.clear();
-      state_b.clear();
-    }
-  }
+  PackedSimulator sim(NoiseModel::uniform(3e-3), 2024);
+  PackedState state(without_spans.circuit.width(), 1);
+  std::uint64_t detected[kMaxLaneWords];
+  const std::string checked_msg = thrown_message([&] {
+    detect::apply_noisy_checked_words(sim, state, without_spans, detected);
+  });
+  EXPECT_NE(checked_msg.find("checkpoint_spans"), std::string::npos)
+      << checked_msg;
+
+  const std::string recovering_msg = thrown_message([&] {
+    recover::run_recovering_mc_span(
+        sim, state, without_spans, plan, recover::RetryPolicy::block_local(),
+        0, 64, [](PackedState&, Xoshiro256&, std::uint64_t) {},
+        [](const PackedState&, int, std::uint64_t) { return false; });
+  });
+  EXPECT_NE(recovering_msg.find("checkpoint_spans"), std::string::npos)
+      << recovering_msg;
 }
 
 // --- multi-word checkpoint and blends ---------------------------------
@@ -831,22 +847,57 @@ TEST(ProgramCacheTest, HitsServeTheSameBundleWithoutRecompiling) {
 
 TEST(ProgramCacheTest, KeyDiscriminatesOptionsMachineAndWorkload) {
   auto& cache = ProgramCache::instance();
+  cache.clear();  // earlier tests may have compiled these keys already
   Circuit logical(3);
   logical.toffoli(0, 1, 2);
   const auto base = cache.get(MachineKind::k1d, logical);
 
+  // Each key input, changed alone, must miss; asking again with equal
+  // (separately constructed) inputs must hit the entry just compiled.
+  const auto expect_miss_then_hit = [&](const char* what, MachineKind kind,
+                                        const Circuit& circuit, bool with_init,
+                                        const CheckedMachineOptions& opts) {
+    const std::uint64_t m0 = cache.misses();
+    const std::uint64_t h0 = cache.hits();
+    const auto first = cache.get(kind, circuit, with_init, opts);
+    EXPECT_EQ(cache.misses(), m0 + 1) << what;
+    EXPECT_NE(base.get(), first.get()) << what;
+    const CheckedMachineOptions equal = opts;
+    EXPECT_EQ(first.get(), cache.get(kind, circuit, with_init, equal).get())
+        << what;
+    EXPECT_EQ(cache.hits(), h0 + 1) << what;
+  };
+
   CheckedMachineOptions global;
   global.rails = RailGranularity::kGlobal;
-  EXPECT_NE(base.get(), cache.get(MachineKind::k1d, logical, true, global).get());
-  EXPECT_NE(base.get(), cache.get(MachineKind::k2d, logical).get());
-  EXPECT_NE(base.get(),
-            cache.get(MachineKind::k1d, logical, true,
-                      recovering_machine_options())
-                .get());
+  expect_miss_then_hit("rails", MachineKind::k1d, logical, true, global);
+  CheckedMachineOptions no_zero_checks;
+  no_zero_checks.zero_checks = false;
+  expect_miss_then_hit("zero_checks", MachineKind::k1d, logical, true,
+                       no_zero_checks);
+  CheckedMachineOptions every_boundary;
+  every_boundary.rail_check_every_boundary = true;
+  expect_miss_then_hit("rail_check_every_boundary", MachineKind::k1d, logical,
+                       true, every_boundary);
+  CheckedMachineOptions periodic;
+  periodic.check_every = 4;
+  expect_miss_then_hit("check_every", MachineKind::k1d, logical, true,
+                       periodic);
+  CheckedMachineOptions unscheduled;
+  unscheduled.schedule.enabled = false;
+  expect_miss_then_hit("schedule.enabled", MachineKind::k1d, logical, true,
+                       unscheduled);
+  expect_miss_then_hit("with_init", MachineKind::k1d, logical, false, {});
+  expect_miss_then_hit("machine kind", MachineKind::k2d, logical, true, {});
 
   Circuit other(3);
   other.toffoli(2, 1, 0);  // same width and kind, different operands
-  EXPECT_NE(base.get(), cache.get(MachineKind::k1d, other).get());
+  expect_miss_then_hit("workload", MachineKind::k1d, other, true, {});
+
+  // Default options built afresh still hit the base entry.
+  EXPECT_EQ(base.get(),
+            cache.get(MachineKind::k1d, logical, true, CheckedMachineOptions{})
+                .get());
 }
 
 TEST(ProgramCacheTest, ExportsTelemetryCounters) {
