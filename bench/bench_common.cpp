@@ -1,6 +1,9 @@
 #include "bench_common.h"
 
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
+#include <ctime>
 #include <utility>
 
 #include "support/artifact.h"
@@ -14,6 +17,58 @@ std::uint64_t trials_from_env(std::uint64_t fallback) {
 
 std::uint64_t seed_from_env() {
   return env::decimal("REVFT_SEED").value_or(0xD5A2005ULL);
+}
+
+namespace {
+
+/// Process-CPU nanoseconds now; the steady clock where the POSIX clock
+/// is unavailable.
+std::int64_t cpu_now_ns() {
+#if defined(CLOCK_PROCESS_CPUTIME_ID)
+  timespec ts;
+  if (clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts) == 0)
+    return static_cast<std::int64_t>(ts.tv_sec) * 1000000000 + ts.tv_nsec;
+#endif
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
+}
+
+double median_of(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const std::size_t n = v.size();
+  if (n == 0) return 0.0;
+  return n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
+}
+
+}  // namespace
+
+InterleavedTiming interleaved_ns_per_op(
+    std::uint64_t ops, int iters,
+    const std::vector<std::function<void()>>& variants, int reps) {
+  const std::size_t n = variants.size();
+  InterleavedTiming out;
+  out.min_ns_per_op.assign(n, 0.0);
+  out.ratio.assign(n, 0.0);
+  for (const auto& variant : variants) variant();  // warm-up, untimed
+  std::vector<std::vector<double>> ratios(n);
+  std::vector<double> t(n, 0.0);
+  for (int rep = 0; rep < reps; ++rep) {
+    for (std::size_t k = 0; k < n; ++k) {
+      const std::size_t v = (static_cast<std::size_t>(rep) + k) % n;
+      const std::int64_t start = cpu_now_ns();
+      for (int i = 0; i < iters; ++i) variants[v]();
+      const std::int64_t stop = cpu_now_ns();
+      t[v] = static_cast<double>(stop - start) /
+             (static_cast<double>(iters) * static_cast<double>(ops));
+    }
+    for (std::size_t v = 0; v < n; ++v) {
+      if (rep == 0 || t[v] < out.min_ns_per_op[v]) out.min_ns_per_op[v] = t[v];
+      if (t[0] > 0.0) ratios[v].push_back(t[v] / t[0]);
+    }
+  }
+  for (std::size_t v = 0; v < n; ++v) out.ratio[v] = median_of(ratios[v]);
+  return out;
 }
 
 void print_header(const std::string& title, const std::string& paper_ref) {

@@ -267,12 +267,7 @@ void BM_RecoveringMachine1d(benchmark::State& state) {
   for (auto _ : state) {
     const auto est = recover::run_recovering_mc_span(
         sim, ps, program.checked, plan, policy, batch++, 64,
-        [&kernel](PackedState& s, Xoshiro256& rng, std::uint64_t b) {
-          kernel.prepare(s, rng, b);
-        },
-        [&kernel](const PackedState& s, int lane, std::uint64_t b) {
-          return kernel.classify(s, lane, b);
-        });
+        kernel_prepare(kernel), kernel_classify(kernel));
     benchmark::DoNotOptimize(est.accepted);
   }
   // Items = ORIGINAL machine ops x lanes, comparable to the checked

@@ -28,9 +28,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
-#include <ctime>
 #include <string>
 #include <vector>
 
@@ -77,96 +75,11 @@ Circuit census_workload() {
 
 // --- 1. hook overhead -------------------------------------------------
 
-/// Process-CPU nanoseconds now. The overhead section compares ~3%
-/// deltas, and on a shared host wall-clock is dominated by time-slicing
-/// against neighbour processes (observed: 35% swings between identical
-/// runs) — CPU time doesn't tick while the process is descheduled, so
-/// it measures the kernel, not the neighbours. Falls back to the
-/// steady clock where the POSIX clock is unavailable.
-std::int64_t cpu_now_ns() {
-#if defined(CLOCK_PROCESS_CPUTIME_ID)
-  timespec ts;
-  if (clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts) == 0)
-    return static_cast<std::int64_t>(ts.tv_sec) * 1000000000 + ts.tv_nsec;
-#endif
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-/// CPU nanoseconds per original machine op for one timed block of
-/// `iters` calls of `body`, where each call covers `ops` ops.
-template <typename Body>
-double block_ns_per_op(std::uint64_t ops, int iters, Body&& body) {
-  const std::int64_t start = cpu_now_ns();
-  for (int i = 0; i < iters; ++i) body();
-  const std::int64_t stop = cpu_now_ns();
-  return static_cast<double>(stop - start) /
-         (static_cast<double>(iters) * static_cast<double>(ops));
-}
-
-struct OverheadRow {
-  double baseline_ns = 0.0;  ///< trace == nullptr (min over reps)
-  double disabled_ns = 0.0;  ///< null-sink ShardTrace (capacity 0)
-  double enabled_ns = 0.0;   ///< ring sink + metrics
-  double disabled_over = 0.0;  ///< median per-rep disabled/baseline
-  double enabled_over = 0.0;   ///< median per-rep enabled/baseline
-  double disabled_ratio() const { return disabled_over; }
-  double enabled_ratio() const { return enabled_over; }
-};
-
-double median_of(std::vector<double> v) {
-  std::sort(v.begin(), v.end());
-  const std::size_t n = v.size();
-  return n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
-}
-
-/// Interleaved overhead estimator. Each repetition times the three
-/// variants back to back IN A ROTATING ORDER and takes the RATIOS
-/// within the repetition, then the per-rep ratios are combined by
-/// median:
-///
-///   * back-to-back blocks mean clock-frequency and load drift hit
-///     every variant of a rep roughly equally (sequential min-of-N
-///     regularly produced >20% phantom deltas on a busy container);
-///   * rotating the order (bde, deb, ebd, ...) keeps a monotonic load
-///     ramp from always landing on the variant timed last — with a
-///     fixed order that bias is systematic and the median keeps it;
-///   * the median discards the reps a noisy neighbour stomped on,
-///     which a min-based ratio turns into a false bar verdict.
-///
-/// The reported ns/op are still the per-variant minima (the usual
-/// "best observed" figure); the acceptance bars use the median ratio.
-template <typename B0, typename B1, typename B2>
-OverheadRow interleaved_ns_per_op(std::uint64_t ops, int iters, B0&& baseline,
-                                  B1&& disabled, B2&& enabled) {
-  OverheadRow row;
-  // Warm-up pass (untimed): touch every code path and state buffer.
-  baseline();
-  disabled();
-  enabled();
-  std::vector<double> d_over, e_over;
-  for (int rep = 0; rep < 15; ++rep) {
-    double t[3] = {0.0, 0.0, 0.0};  // [0]=baseline [1]=disabled [2]=enabled
-    for (int k = 0; k < 3; ++k) {
-      switch ((rep + k) % 3) {
-        case 0: t[0] = block_ns_per_op(ops, iters, baseline); break;
-        case 1: t[1] = block_ns_per_op(ops, iters, disabled); break;
-        default: t[2] = block_ns_per_op(ops, iters, enabled); break;
-      }
-    }
-    if (rep == 0 || t[0] < row.baseline_ns) row.baseline_ns = t[0];
-    if (rep == 0 || t[1] < row.disabled_ns) row.disabled_ns = t[1];
-    if (rep == 0 || t[2] < row.enabled_ns) row.enabled_ns = t[2];
-    if (t[0] > 0.0) {
-      d_over.push_back(t[1] / t[0]);
-      e_over.push_back(t[2] / t[0]);
-    }
-  }
-  row.disabled_over = median_of(d_over);
-  row.enabled_over = median_of(e_over);
-  return row;
-}
+/// Overhead rows time three variants of one engine span (the
+/// interleaved estimator of bench_common.h): [0] no trace pointer at
+/// all, [1] a null-sink ShardTrace (capacity 0), [2] a ring sink with
+/// metrics.
+using OverheadRow = benchutil::InterleavedTiming;
 
 /// The checked (detection) engine: one span call = `trials` trials.
 OverheadRow measure_checked_overhead(const CheckedMachineProgram& program,
@@ -200,20 +113,16 @@ OverheadRow measure_checked_overhead(const CheckedMachineProgram& program,
   auto span = [&](Ctx& ctx, telemetry::ShardTrace* shard) {
     const auto est = detect::detail::run_checked_mc_span(
         ctx.sim, ctx.ps, program.checked, 0, trials,
-        [&ctx](PackedState& s, Xoshiro256& rng, std::uint64_t b) {
-          ctx.kernel.prepare(s, rng, b);
-        },
-        [&ctx](const PackedState& s, int lane, std::uint64_t b) {
-          return ctx.kernel.classify(s, lane, b);
-        },
+        kernel_prepare(ctx.kernel), kernel_classify(ctx.kernel),
         shard);
     benchmark::DoNotOptimize(est.detected);
   };
 
-  return interleaved_ns_per_op(
-      ops, iters, [&] { span(base_ctx, nullptr); },
-      [&] { span(null_ctx, &null_shards[0]); },
-      [&] { span(full_ctx, &full_shards[0]); });
+  return benchutil::interleaved_ns_per_op(
+      ops, iters,
+      {[&] { span(base_ctx, nullptr); },
+       [&] { span(null_ctx, &null_shards[0]); },
+       [&] { span(full_ctx, &full_shards[0]); }});
 }
 
 /// The recovering engine, block-local policy.
@@ -247,20 +156,16 @@ OverheadRow measure_recover_overhead(const CheckedMachineProgram& program,
   auto span = [&](Ctx& ctx, telemetry::ShardTrace* shard) {
     const auto est = recover::run_recovering_mc_span(
         ctx.sim, ctx.ps, program.checked, plan, policy, 0, 64 * 8,
-        [&ctx](PackedState& s, Xoshiro256& rng, std::uint64_t b) {
-          ctx.kernel.prepare(s, rng, b);
-        },
-        [&ctx](const PackedState& s, int lane, std::uint64_t b) {
-          return ctx.kernel.classify(s, lane, b);
-        },
+        kernel_prepare(ctx.kernel), kernel_classify(ctx.kernel),
         shard);
     benchmark::DoNotOptimize(est.accepted);
   };
 
-  return interleaved_ns_per_op(
-      ops, iters, [&] { span(base_ctx, nullptr); },
-      [&] { span(null_ctx, &null_shards[0]); },
-      [&] { span(full_ctx, &full_shards[0]); });
+  return benchutil::interleaved_ns_per_op(
+      ops, iters,
+      {[&] { span(base_ctx, nullptr); },
+       [&] { span(null_ctx, &null_shards[0]); },
+       [&] { span(full_ctx, &full_shards[0]); }});
 }
 
 bool print_overhead(benchutil::JsonResultWriter& json) {
@@ -275,23 +180,9 @@ bool print_overhead(benchutil::JsonResultWriter& json) {
           ->program;
   const auto truth = machine_truth_table(logical);
 
-  // A bar verdict that fails is re-measured up to two more times and
-  // the best attempt kept: the estimator is already noise-hardened
-  // (CPU clock, interleaved rotating order, median of ratios) but a
-  // sustained interference burst on a shared host can still poison one
-  // whole attempt, and a false FAIL fails CI. A genuine >3% hook
-  // overhead is systematic and fails all three attempts identically.
-  const auto measure_with_retry = [](auto&& measure) {
-    OverheadRow best = measure();
-    for (int attempt = 1; attempt < 3; ++attempt) {
-      if (best.disabled_ratio() <= 1.03 && best.enabled_ratio() <= 1.25) break;
-      const OverheadRow again = measure();
-      const auto badness = [](const OverheadRow& r) {
-        return std::max(r.disabled_ratio() / 1.03, r.enabled_ratio() / 1.25);
-      };
-      if (badness(again) < badness(best)) best = again;
-    }
-    return best;
+  // A failing bar verdict is re-measured (benchutil::measure_with_retry).
+  const auto badness = [](const OverheadRow& r) {
+    return std::max(r.ratio[1] / 1.03, r.ratio[2] / 1.25);
   };
 
   struct Named {
@@ -299,31 +190,32 @@ bool print_overhead(benchutil::JsonResultWriter& json) {
     OverheadRow row;
   };
   const Named rows[] = {
-      {"checked_1d", measure_with_retry(
-                         [&] { return measure_checked_overhead(program, truth); })},
-      {"recovering_1d", measure_with_retry([&] {
-         return measure_recover_overhead(program, truth);
-       })},
+      {"checked_1d",
+       benchutil::measure_with_retry(
+           [&] { return measure_checked_overhead(program, truth); }, badness)},
+      {"recovering_1d",
+       benchutil::measure_with_retry(
+           [&] { return measure_recover_overhead(program, truth); }, badness)},
   };
 
   bool all_pass = true;
   AsciiTable table({"engine", "baseline ns/op", "null-sink ns/op", "disabled x",
                     "traced ns/op", "enabled x", "bars"});
   for (const Named& n : rows) {
-    const bool disabled_ok = n.row.disabled_ratio() <= 1.03;
-    const bool enabled_ok = n.row.enabled_ratio() <= 1.25;
+    const bool disabled_ok = n.row.ratio[1] <= 1.03;
+    const bool enabled_ok = n.row.ratio[2] <= 1.25;
     all_pass &= disabled_ok && enabled_ok;
-    table.add_row({n.label, AsciiTable::fixed(n.row.baseline_ns, 3),
-                   AsciiTable::fixed(n.row.disabled_ns, 3),
-                   AsciiTable::fixed(n.row.disabled_ratio(), 3),
-                   AsciiTable::fixed(n.row.enabled_ns, 3),
-                   AsciiTable::fixed(n.row.enabled_ratio(), 3),
+    table.add_row({n.label, AsciiTable::fixed(n.row.min_ns_per_op[0], 3),
+                   AsciiTable::fixed(n.row.min_ns_per_op[1], 3),
+                   AsciiTable::fixed(n.row.ratio[1], 3),
+                   AsciiTable::fixed(n.row.min_ns_per_op[2], 3),
+                   AsciiTable::fixed(n.row.ratio[2], 3),
                    disabled_ok && enabled_ok ? "PASS" : "FAIL"});
-    json.add(n.label, "baseline_ns_per_op", n.row.baseline_ns);
-    json.add(n.label, "disabled_ns_per_op", n.row.disabled_ns);
-    json.add(n.label, "enabled_ns_per_op", n.row.enabled_ns);
-    json.add(n.label, "disabled_overhead", n.row.disabled_ratio());
-    json.add(n.label, "enabled_overhead", n.row.enabled_ratio());
+    json.add(n.label, "baseline_ns_per_op", n.row.min_ns_per_op[0]);
+    json.add(n.label, "disabled_ns_per_op", n.row.min_ns_per_op[1]);
+    json.add(n.label, "enabled_ns_per_op", n.row.min_ns_per_op[2]);
+    json.add(n.label, "disabled_overhead", n.row.ratio[1]);
+    json.add(n.label, "enabled_overhead", n.row.ratio[2]);
     json.add(n.label, "disabled_within_1_03x", disabled_ok ? 1.0 : 0.0);
     json.add(n.label, "enabled_within_1_25x", enabled_ok ? 1.0 : 0.0);
   }
@@ -608,12 +500,7 @@ void BM_TracedCheckedMachine1d(benchmark::State& state) {
   for (auto _ : state) {
     const auto est = detect::detail::run_checked_mc_span(
         sim, ps, program.checked, batch++, 64,
-        [&kernel](PackedState& s, Xoshiro256& rng, std::uint64_t b) {
-          kernel.prepare(s, rng, b);
-        },
-        [&kernel](const PackedState& s, int lane, std::uint64_t b) {
-          return kernel.classify(s, lane, b);
-        },
+        kernel_prepare(kernel), kernel_classify(kernel),
         &shards[0]);
     benchmark::DoNotOptimize(est.detected);
   }

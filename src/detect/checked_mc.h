@@ -176,8 +176,9 @@ void apply_noisy_checked_words(PackedSimulator& sim, PackedState& state,
 namespace detail {
 
 /// Checked counterpart of noise/monte_carlo.h's run_mc_span: identical
-/// batching and lane accounting, but every trial lands in one of the
-/// four DetectionEstimate buckets.
+/// batching, lane accounting and classify form, but every trial lands
+/// in one of the four DetectionEstimate buckets (word operations on the
+/// detected and wrong lane masks).
 ///
 /// `trace` (nullable) receives per-batch telemetry: detect.* counters
 /// (trials, detected per rail, zero checks) plus kRailFired /
@@ -232,19 +233,20 @@ DetectionEstimate run_checked_mc_span(PackedSimulator& sim, PackedState& state,
     prepare(state, sim.rng(), batch);
     apply_noisy_checked_words(sim, state, checked, detected_words.data(),
                               fired.data());
-    for (int lane = 0; lane < lanes_this_batch; ++lane) {
-      ++est.trials;
-      const bool wrong = classify(state, lane, batch);
-      if ((detected_words[static_cast<unsigned>(lane) >> 6] >> (lane & 63)) &
-          1u) {
-        ++est.detected;
-        if (wrong) ++est.detected_failures;
-      } else if (wrong) {
-        ++est.silent_failures;
-      }
-    }
     const LaneMask live = LaneMask::first_n(
         lane_words, static_cast<std::uint64_t>(lanes_this_batch));
+    const LaneMask wrong = classify(state, batch, live);
+    est.trials += static_cast<std::uint64_t>(lanes_this_batch);
+    std::uint64_t batch_detected = 0;
+    for (unsigned w = 0; w < lane_words; ++w) {
+      const std::uint64_t det = detected_words[w] & live.word(w);
+      batch_detected += static_cast<std::uint64_t>(std::popcount(det));
+      est.detected_failures +=
+          static_cast<std::uint64_t>(std::popcount(det & wrong.word(w)));
+      est.silent_failures +=
+          static_cast<std::uint64_t>(std::popcount(wrong.word(w) & ~det));
+    }
+    est.detected += batch_detected;
     std::uint64_t any_detected = 0;
     for (unsigned w = 0; w < lane_words; ++w) any_detected |= detected_words[w];
     if (any_detected != 0) {
@@ -287,10 +289,7 @@ DetectionEstimate run_checked_mc_span(PackedSimulator& sim, PackedState& state,
     if (tracing) {
       ++*m_batches;
       *m_trials += static_cast<std::uint64_t>(lanes_this_batch);
-      for (unsigned w = 0; w < lane_words; ++w) {
-        *m_detected += static_cast<std::uint64_t>(
-            std::popcount(detected_words[w] & live.word(w)));
-      }
+      *m_detected += batch_detected;
       for (unsigned w = 0; w < lane_words; ++w) {
         const std::uint64_t ok = live.word(w) & ~detected_words[w];
         telemetry::Event ev;

@@ -34,11 +34,14 @@ namespace detail {
 /// Runs ceil(trials/lanes_per_batch) batches starting at global batch
 /// index `first_batch` on an existing simulator/state pair, where
 /// lanes_per_batch = 64 * state.lane_words(). For each batch:
-///   prepare(state, rng, batch)           — set up all lanes;
+///   prepare(state, rng, batch)                   — set up all lanes;
 ///   ... circuit applied noisily ...
-///   classify(state, lane, batch) -> bool — true means "error".
-/// Only the first (trials % lanes_per_batch) lanes of the last batch
-/// are counted, so the estimate covers exactly `trials` trials.
+///   classify(state, batch, judge) -> LaneMask    — the lanes of `judge`
+///                                                  whose output is wrong
+/// (kernel_classify below builds `classify` from a kernel). `judge` is
+/// the batch's live mask: only the first (trials % lanes_per_batch)
+/// lanes of the last batch are counted, so the estimate covers exactly
+/// `trials` trials.
 ///
 /// `trace` (nullable) receives per-batch telemetry: mc.batches /
 /// mc.trials / mc.failures counters plus one kBatchAccept event per
@@ -81,17 +84,12 @@ BernoulliEstimate run_mc_span(PackedSimulator& sim, PackedState& state,
     state.clear();
     prepare(state, sim.rng(), batch);
     sim.apply_noisy(state, circuit);
-    LaneMask wrong(lane_words);
-    for (int lane = 0; lane < lanes_this_batch; ++lane) {
-      ++est.trials;
-      if (classify(state, lane, batch)) {
-        ++est.failures;
-        if (tracing) wrong.set(static_cast<unsigned>(lane));
-      }
-    }
+    const LaneMask live = LaneMask::first_n(
+        lane_words, static_cast<std::uint64_t>(lanes_this_batch));
+    const LaneMask wrong = classify(state, batch, live);
+    est.trials += static_cast<std::uint64_t>(lanes_this_batch);
+    est.failures += wrong.popcount();
     if (tracing) {
-      const LaneMask live = LaneMask::first_n(
-          lane_words, static_cast<std::uint64_t>(lanes_this_batch));
       ++*m_batches;
       *m_trials += static_cast<std::uint64_t>(lanes_this_batch);
       *m_failures += wrong.popcount();
@@ -112,8 +110,33 @@ BernoulliEstimate run_mc_span(PackedSimulator& sim, PackedState& state,
 
 }  // namespace detail
 
+/// The lanes of `judge` a per-lane classifier (state, lane, batch) ->
+/// bool calls wrong, asking it about each lane of `judge` once, in
+/// ascending order.
+template <typename LaneClassifyFn>
+LaneMask classify_lanes(LaneClassifyFn& classify, const PackedState& state,
+                        std::uint64_t batch, const LaneMask& judge) {
+  LaneMask wrong(judge.words());
+  for_each_lane(judge, [&](unsigned lane) {
+    if (classify(state, static_cast<int>(lane), batch)) wrong.set(lane);
+  });
+  return wrong;
+}
+
+/// A kernel with the optional batch classifier of the kernel contract
+/// (noise/parallel_mc.h).
+template <typename Kernel>
+concept BatchClassifier = requires(Kernel& kernel, const PackedState& state,
+                                   std::uint64_t batch, LaneMask& wrong) {
+  kernel.classify_batch(state, batch, wrong);
+};
+
 /// prepare / classify callables forwarding to a kernel object (the
-/// kernel contract of noise/parallel_mc.h).
+/// kernel contract of noise/parallel_mc.h). The classify callable is
+/// the engines' batch form (state, batch, judge) -> the wrong lanes of
+/// `judge`: one classify_batch call masked by `judge` when the kernel
+/// has a batch classifier, else classify_lanes over its per-lane
+/// classify.
 template <typename Kernel>
 auto kernel_prepare(Kernel& kernel) {
   return [&kernel](PackedState& s, Xoshiro256& rng, std::uint64_t batch) {
@@ -122,8 +145,20 @@ auto kernel_prepare(Kernel& kernel) {
 }
 template <typename Kernel>
 auto kernel_classify(Kernel& kernel) {
-  return [&kernel](const PackedState& s, int lane, std::uint64_t batch) {
-    return kernel.classify(s, lane, batch);
+  return [&kernel](const PackedState& s, std::uint64_t batch,
+                   const LaneMask& judge) {
+    if constexpr (BatchClassifier<Kernel>) {
+      LaneMask wrong(judge.words());
+      kernel.classify_batch(s, batch, wrong);
+      wrong &= judge;
+      return wrong;
+    } else {
+      auto lane_fn = [&kernel](const PackedState& st, int lane,
+                               std::uint64_t b) {
+        return kernel.classify(st, lane, b);
+      };
+      return classify_lanes(lane_fn, s, batch, judge);
+    }
   };
 }
 
@@ -152,17 +187,22 @@ struct PlainEngine {
 };
 
 /// Single-threaded harness: one simulator seeded with opts.seed runs
-/// every batch in order. See detail::run_mc_span for the prepare /
-/// classify contract (classify returning true counts a *failure*).
-template <typename PrepareFn, typename ClassifyFn>
+/// every batch in order. `classify(state, lane, batch) -> bool` judges
+/// one lane (true counts a *failure*) and is called once per counted
+/// lane, in order; see detail::run_mc_span for the rest.
+template <typename PrepareFn, typename LaneClassifyFn>
 BernoulliEstimate run_packed_mc(const Circuit& circuit, const NoiseModel& model,
                                 const McOptions& opts, PrepareFn&& prepare,
-                                ClassifyFn&& classify) {
+                                LaneClassifyFn&& classify) {
   PackedSimulator sim(model, opts.seed);
   PackedState state(circuit.width(), opts.lane_words);
-  return detail::run_mc_span(sim, state, circuit, /*first_batch=*/0,
-                             opts.trials, std::forward<PrepareFn>(prepare),
-                             std::forward<ClassifyFn>(classify));
+  return detail::run_mc_span(
+      sim, state, circuit, /*first_batch=*/0, opts.trials,
+      std::forward<PrepareFn>(prepare),
+      [&classify](const PackedState& s, std::uint64_t batch,
+                  const LaneMask& judge) {
+        return classify_lanes(classify, s, batch, judge);
+      });
 }
 
 }  // namespace revft

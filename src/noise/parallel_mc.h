@@ -36,7 +36,14 @@
 // is never shared between concurrently running shards:
 //   void prepare(PackedState&, Xoshiro256&, std::uint64_t batch);
 //   bool classify(const PackedState&, int lane, std::uint64_t batch);
-// classify returning true counts a failure. The factory is called from
+// and optionally
+//   void classify_batch(const PackedState&, std::uint64_t batch,
+//                       LaneMask& wrong);
+// classify returning true counts a failure; classify_batch sets every
+// lane of `wrong` to what classify would return for it. Every engine
+// judges a batch once, through kernel_classify (noise/monte_carlo.h):
+// one classify_batch call when the kernel has one, else classify on
+// each judged lane in ascending order. The factory is called from
 // worker threads and must be safe to invoke concurrently.
 #pragma once
 

@@ -111,25 +111,40 @@ void check_compaction(const PackedState& narrow, std::uint32_t width,
                        << 64 * wide_words << "-lane batch");
 }
 
+// Both moves build each destination word in locals and store it once:
+// dst may alias src as far as the compiler knows, so a per-lane
+// read-modify-write of dst would reload and store every lane.
+
 void gather_cell(std::uint64_t* dst, unsigned dst_words,
                  const std::uint64_t* src,
                  const std::vector<std::uint16_t>& lanes) {
-  for (unsigned w = 0; w < dst_words; ++w) dst[w] = 0;
-  for (std::size_t j = 0; j < lanes.size(); ++j) {
-    const unsigned lane = lanes[j];
-    dst[j >> 6] |= ((src[lane >> 6] >> (lane & 63u)) & 1ULL) << (j & 63u);
+  const std::size_t n = lanes.size();
+  for (unsigned w = 0; w < dst_words; ++w) {
+    const std::size_t first = 64 * static_cast<std::size_t>(w);
+    const std::size_t last = std::min(n, first + 64);
+    std::uint64_t word = 0;
+    for (std::size_t j = first; j < last; ++j) {
+      const unsigned lane = lanes[j];
+      word |= ((src[lane >> 6] >> (lane & 63u)) & 1ULL) << (j - first);
+    }
+    dst[w] = word;
   }
 }
 
-void scatter_cell(std::uint64_t* dst, const std::uint64_t* src,
+void scatter_cell(std::uint64_t* dst, unsigned dst_words,
+                  const std::uint64_t* src,
                   const std::vector<std::uint16_t>& lanes,
                   const LaneMask& accept) {
+  std::uint64_t clear[kMaxLaneWords] = {};
+  std::uint64_t set[kMaxLaneWords] = {};
   for_each_lane(accept, [&](unsigned j) {
     const unsigned lane = lanes[j];
     const std::uint64_t bit = 1ULL << (lane & 63u);
-    std::uint64_t& word = dst[lane >> 6];
-    word = ((src[j >> 6] >> (j & 63u)) & 1ULL) != 0 ? word | bit : word & ~bit;
+    clear[lane >> 6] |= bit;
+    if ((src[j >> 6] >> (j & 63u)) & 1ULL) set[lane >> 6] |= bit;
   });
+  for (unsigned w = 0; w < dst_words; ++w)
+    if (clear[w] != 0) dst[w] = (dst[w] & ~clear[w]) | set[w];
 }
 
 void check_scatter(const PackedState& dst, const PackedState& src,
@@ -168,7 +183,8 @@ void scatter_cells_lanes(PackedState& dst, const PackedState& src,
                          const LaneMask& accept) {
   check_scatter(dst, src, lanes, accept);
   for (const std::uint32_t cell : cells)
-    scatter_cell(dst.words(cell), src.words(cell), lanes, accept);
+    scatter_cell(dst.words(cell), dst.lane_words(), src.words(cell), lanes,
+                 accept);
 }
 
 void scatter_lanes(PackedState& dst, const PackedState& src,
@@ -176,7 +192,8 @@ void scatter_lanes(PackedState& dst, const PackedState& src,
                    const LaneMask& accept) {
   check_scatter(dst, src, lanes, accept);
   for (std::uint32_t cell = 0; cell < dst.width(); ++cell)
-    scatter_cell(dst.words(cell), src.words(cell), lanes, accept);
+    scatter_cell(dst.words(cell), dst.lane_words(), src.words(cell), lanes,
+                 accept);
 }
 
 }  // namespace revft::recover

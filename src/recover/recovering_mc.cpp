@@ -465,10 +465,6 @@ RecoveryEstimate run_recovering_mc_span(
     est.trials += static_cast<std::uint64_t>(lanes_this_batch);
     est.detected_trials += detected_lanes.popcount();
     LaneMask accepted_lanes = active & live;
-    for_each_lane(accepted_lanes, [&](unsigned lane) {
-      ++est.accepted;
-      if (classify(state, static_cast<int>(lane), batch)) ++est.silent_failures;
-    });
 
     // --- whole-program restarts (kWholeProgram, and kBlockLocal
     // fallbacks): full re-runs from the entry checkpoint, one attempt
@@ -519,11 +515,6 @@ RecoveryEstimate run_recovering_mc_span(
         else
           blend_lanes(state, scratch, accepted_now);
         accepted_lanes |= accepted_now & live;
-        for_each_lane(accepted_now & live, [&](unsigned lane) {
-          ++est.accepted;
-          if (classify(state, static_cast<int>(lane), batch))
-            ++est.silent_failures;
-        });
         pending.remove(accepted_now);
       }
       LaneMask exhausted(W);
@@ -534,6 +525,11 @@ RecoveryEstimate run_recovering_mc_span(
       pending.remove(exhausted);
     }
     est.rejected += rejected.popcount();
+    // Judged once, after the restarts: a lane's cells are never written
+    // after it is accepted (restarts blend or scatter only the lanes
+    // they accept), so every accepted lane still holds its final output.
+    est.accepted += accepted_lanes.popcount();
+    est.silent_failures += classify(state, batch, accepted_lanes).popcount();
     if (hp != nullptr) {
       ++*hooks.batches;
       *hooks.trials += static_cast<std::uint64_t>(lanes_this_batch);

@@ -63,11 +63,13 @@ namespace revft::recover {
 
 /// Batch-level callbacks, same contract as the other engines: prepare
 /// fills every lane of a cleared state (rails left zero); classify
-/// judges one lane's final output.
+/// returns the lanes of its mask argument whose final output is wrong
+/// (kernel_classify in noise/monte_carlo.h). The engine classifies
+/// once per batch, over the accepted lanes.
 using PrepareFn =
     std::function<void(PackedState&, Xoshiro256&, std::uint64_t)>;
 using ClassifyFn =
-    std::function<bool(const PackedState&, int, std::uint64_t)>;
+    std::function<LaneMask(const PackedState&, std::uint64_t, const LaneMask&)>;
 
 /// The recovering counterpart of detail::run_checked_mc_span: one
 /// simulator, a contiguous batch range, retries included. Out-of-line

@@ -659,10 +659,150 @@ TEST(CheckpointSpans, EnginesRejectCircuitWithoutSpans) {
     recover::run_recovering_mc_span(
         sim, state, without_spans, plan, recover::RetryPolicy::block_local(),
         0, 64, [](PackedState&, Xoshiro256&, std::uint64_t) {},
-        [](const PackedState&, int, std::uint64_t) { return false; });
+        [](const PackedState& s, std::uint64_t, const LaneMask&) {
+          return LaneMask(s.lane_words());
+        });
   });
   EXPECT_NE(recovering_msg.find("checkpoint_spans"), std::string::npos)
       << recovering_msg;
+}
+
+// --- batch classifier ---------------------------------------------------
+
+/// MachineWorkloadKernel with its batch classifier hidden: the engines
+/// fall back to the per-lane classify, one call per judged lane.
+struct PerLaneMachineKernel {
+  MachineWorkloadKernel inner;
+  void prepare(PackedState& s, Xoshiro256& rng, std::uint64_t batch) {
+    inner.prepare(s, rng, batch);
+  }
+  bool classify(const PackedState& s, int lane, std::uint64_t batch) const {
+    return inner.classify(s, lane, batch);
+  }
+};
+static_assert(BatchClassifier<MachineWorkloadKernel>);
+static_assert(!BatchClassifier<PerLaneMachineKernel>);
+
+TEST(BatchClassify, MatchesPerLaneClassifyOnEveryLane) {
+  const Circuit logical = scattered10();
+  const auto truth = machine_truth_table(logical);
+  const CheckedMachineProgram programs[] = {
+      CheckedMachine1d(10).compile(logical),
+      CheckedMachine2d(10).compile(logical)};
+  for (const CheckedMachineProgram& program : programs) {
+    for (const unsigned W : {1u, 2u, 4u, 8u}) {
+      PackedSimulator sim(NoiseModel::uniform(1e-2), 0xC1A55ULL + W);
+      PackedState state(program.checked.circuit.width(), W);
+      MachineWorkloadKernel kernel = make_machine_kernel(program, truth);
+      auto classify = kernel_classify(kernel);
+      std::uint64_t wrong_lanes = 0;
+      for (std::uint64_t batch = 0; batch < 6; ++batch) {
+        state.clear();
+        kernel.prepare(state, sim.rng(), batch);
+        sim.apply_noisy(state, program.checked.circuit);
+        LaneMask wrong(W);
+        kernel.classify_batch(state, batch, wrong);
+        for (unsigned lane = 0; lane < state.lanes(); ++lane)
+          ASSERT_EQ(wrong.test(lane),
+                    kernel.classify(state, static_cast<int>(lane), batch))
+              << "W=" << W << " batch=" << batch << " lane=" << lane;
+        wrong_lanes += wrong.popcount();
+        // A partial final batch: the adapter judges only the live lanes.
+        const LaneMask live = LaneMask::first_n(W, 64 * W - 37);
+        EXPECT_EQ(classify(state, batch, live), wrong & live);
+      }
+      // The noise produced both verdicts, so the comparison was not
+      // vacuous.
+      EXPECT_GT(wrong_lanes, 0u) << "W=" << W;
+      EXPECT_LT(wrong_lanes, 6u * 64 * W) << "W=" << W;
+    }
+  }
+}
+
+TEST(BatchClassify, EnginesMatchThePerLaneFallbackBitForBit) {
+  const Circuit logical = scattered10();
+  const auto truth = machine_truth_table(logical);
+  CheckedMachineOptions rails_only = recovering_machine_options();
+  rails_only.zero_checks = false;  // lets silent failures through
+  const CheckedMachineProgram program =
+      CheckedMachine1d(10, true, rails_only).compile(logical);
+  const recover::SegmentPlan plan =
+      recover::build_segment_plan(program.checked);
+  const NoiseModel model = NoiseModel::uniform(3e-3);
+  const auto batched = [&](std::uint64_t) {
+    return make_machine_kernel(program, truth);
+  };
+  const auto per_lane = [&](std::uint64_t) {
+    return PerLaneMachineKernel{make_machine_kernel(program, truth)};
+  };
+  for (const unsigned W : {1u, 8u}) {
+    ParallelMcOptions opts;
+    opts.trials = 6000;  // ends in a partial batch at both widths
+    opts.seed = 0xD5A2005ULL;
+    opts.threads = 2;
+    opts.batches_per_shard = 4;
+    opts.lane_words = W;
+    const auto plain =
+        run_parallel_mc(program.checked.circuit, model, opts, batched);
+    const auto plain_lanes =
+        run_parallel_mc(program.checked.circuit, model, opts, per_lane);
+    EXPECT_EQ(plain.trials, plain_lanes.trials) << "W=" << W;
+    EXPECT_EQ(plain.failures, plain_lanes.failures) << "W=" << W;
+    EXPECT_GT(plain.failures, 0u);
+
+    const auto checked =
+        detect::run_parallel_checked_mc(program.checked, model, opts, batched);
+    EXPECT_EQ(checked, detect::run_parallel_checked_mc(program.checked, model,
+                                                       opts, per_lane))
+        << "W=" << W;
+    EXPECT_GT(checked.detected_failures, 0u);
+    EXPECT_GT(checked.silent_failures, 0u);
+
+    for (const auto& policy : {recover::RetryPolicy::no_retry(),
+                               recover::RetryPolicy::whole_program(),
+                               recover::RetryPolicy::block_local()}) {
+      const auto recovered = recover::run_parallel_recovering_mc(
+          program.checked, plan, policy, model, opts, batched);
+      EXPECT_EQ(recovered,
+                recover::run_parallel_recovering_mc(program.checked, plan,
+                                                    policy, model, opts,
+                                                    per_lane))
+          << "W=" << W << " policy=" << static_cast<int>(policy.kind);
+      EXPECT_GT(recovered.silent_failures, 0u);
+    }
+  }
+}
+
+TEST(BatchClassify, MakeMachineKernelRejectsProgramsOutsideItsLimits) {
+  const Circuit logical = scattered10();
+  const auto truth = machine_truth_table(logical);
+  const CheckedMachineProgram program = CheckedMachine1d(10).compile(logical);
+  EXPECT_NO_THROW(make_machine_kernel(program, truth));
+
+  CheckedMachineProgram wide = program;
+  wide.logical_bits = 17;
+  const std::string wide_msg =
+      thrown_message([&] { make_machine_kernel(wide, truth); });
+  EXPECT_NE(wide_msg.find("16-bit limit"), std::string::npos) << wide_msg;
+
+  CheckedMachineProgram repeated = program;
+  repeated.output_cells[3][2] = repeated.output_cells[3][0];
+  const std::string repeated_msg =
+      thrown_message([&] { make_machine_kernel(repeated, truth); });
+  EXPECT_NE(repeated_msg.find("logical bit 3 is not 3 distinct cells"),
+            std::string::npos)
+      << repeated_msg;
+
+  CheckedMachineProgram outside = program;
+  outside.input_cells[0][1] = program.checked.circuit.width();
+  EXPECT_THROW(make_machine_kernel(outside, truth), Error);
+
+  CheckedMachineProgram missing = program;
+  missing.output_cells.pop_back();
+  EXPECT_THROW(make_machine_kernel(missing, truth), Error);
+
+  const std::vector<unsigned> short_truth(truth.begin(), truth.end() - 1);
+  EXPECT_THROW(make_machine_kernel(program, short_truth), Error);
 }
 
 // --- multi-word checkpoint and blends ---------------------------------
