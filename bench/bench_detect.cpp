@@ -256,7 +256,10 @@ void print_overhead(benchutil::JsonResultWriter& json) {
   PackedState checked_state(checked.circuit.width());
   std::uint64_t mask_acc = 0;
   const double checked_ns = ns_per_op(plain.size(), iters, [&] {
-    mask_acc ^= detect::apply_noisy_checked(checked_sim, checked_state, checked);
+    std::uint64_t detected = 0;
+    detect::apply_noisy_checked_words(checked_sim, checked_state, checked,
+                                      &detected);
+    mask_acc ^= detected;
     benchmark::DoNotOptimize(checked_state);
   });
   benchmark::DoNotOptimize(mask_acc);
@@ -301,7 +304,9 @@ void BM_PackedCheckedMajApply(benchmark::State& state) {
   PackedState ps(checked.circuit.width());
   std::uint64_t acc = 0;
   for (auto _ : state) {
-    acc ^= detect::apply_noisy_checked(sim, ps, checked);
+    std::uint64_t detected = 0;
+    detect::apply_noisy_checked_words(sim, ps, checked, &detected);
+    acc ^= detected;
     benchmark::DoNotOptimize(ps);
   }
   benchmark::DoNotOptimize(acc);

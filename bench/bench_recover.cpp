@@ -265,9 +265,9 @@ void BM_RecoveringMachine1d(benchmark::State& state) {
   MachineWorkloadKernel kernel = make_machine_kernel(program, truth);
   std::uint64_t batch = 0;
   for (auto _ : state) {
-    const auto est = recover::run_recovering_mc_span(
-        sim, ps, program.checked, plan, policy, batch++, 64,
-        kernel_prepare(kernel), kernel_classify(kernel));
+    const auto est =
+        detail::run_shard(recover::RecoveringEngine{program.checked, plan, policy},
+                          sim, ps, kernel, batch++, 64);
     benchmark::DoNotOptimize(est.accepted);
   }
   // Items = ORIGINAL machine ops x lanes, comparable to the checked
@@ -287,7 +287,9 @@ void BM_CheckedMachine1dApplyBaseline(benchmark::State& state) {
   PackedState ps(program.checked.circuit.width());
   std::uint64_t acc = 0;
   for (auto _ : state) {
-    acc ^= detect::apply_noisy_checked(sim, ps, program.checked);
+    std::uint64_t detected = 0;
+    detect::apply_noisy_checked_words(sim, ps, program.checked, &detected);
+    acc ^= detected;
     benchmark::DoNotOptimize(ps);
   }
   benchmark::DoNotOptimize(acc);

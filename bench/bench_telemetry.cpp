@@ -75,13 +75,14 @@ Circuit census_workload() {
 
 // --- 1. hook overhead -------------------------------------------------
 
-/// Overhead rows time three variants of one engine span (the
-/// interleaved estimator of bench_common.h): [0] no trace pointer at
-/// all, [1] a null-sink ShardTrace (capacity 0), [2] a ring sink with
-/// metrics.
+/// Overhead rows time three variants of one shard run through the
+/// driver's batch step (detail::run_shard), so every engine hook and
+/// the step's batch hooks are covered (the interleaved estimator of
+/// bench_common.h): [0] no trace pointer at all, [1] a null-sink
+/// ShardTrace (capacity 0), [2] a ring sink with metrics.
 using OverheadRow = benchutil::InterleavedTiming;
 
-/// The checked (detection) engine: one span call = `trials` trials.
+/// The checked (detection) engine: one run_shard call = `trials` trials.
 OverheadRow measure_checked_overhead(const CheckedMachineProgram& program,
                                      const std::vector<unsigned>& truth) {
   const double g = 1e-3;
@@ -111,10 +112,9 @@ OverheadRow measure_checked_overhead(const CheckedMachineProgram& program,
   auto full_shards = full_trace.make_shards(1);
 
   auto span = [&](Ctx& ctx, telemetry::ShardTrace* shard) {
-    const auto est = detect::detail::run_checked_mc_span(
-        ctx.sim, ctx.ps, program.checked, 0, trials,
-        kernel_prepare(ctx.kernel), kernel_classify(ctx.kernel),
-        shard);
+    const auto est =
+        detail::run_shard(detect::CheckedEngine{program.checked}, ctx.sim,
+                          ctx.ps, ctx.kernel, 0, trials, shard);
     benchmark::DoNotOptimize(est.detected);
   };
 
@@ -154,10 +154,9 @@ OverheadRow measure_recover_overhead(const CheckedMachineProgram& program,
   auto full_shards = full_trace.make_shards(1);
 
   auto span = [&](Ctx& ctx, telemetry::ShardTrace* shard) {
-    const auto est = recover::run_recovering_mc_span(
-        ctx.sim, ctx.ps, program.checked, plan, policy, 0, 64 * 8,
-        kernel_prepare(ctx.kernel), kernel_classify(ctx.kernel),
-        shard);
+    const auto est = detail::run_shard(
+        recover::RecoveringEngine{program.checked, plan, policy}, ctx.sim,
+        ctx.ps, ctx.kernel, 0, 64 * 8, shard);
     benchmark::DoNotOptimize(est.accepted);
   };
 
@@ -498,10 +497,9 @@ void BM_TracedCheckedMachine1d(benchmark::State& state) {
   auto shards = trace.make_shards(1);
   std::uint64_t batch = 0;
   for (auto _ : state) {
-    const auto est = detect::detail::run_checked_mc_span(
-        sim, ps, program.checked, batch++, 64,
-        kernel_prepare(kernel), kernel_classify(kernel),
-        &shards[0]);
+    const auto est =
+        detail::run_shard(detect::CheckedEngine{program.checked}, sim, ps,
+                          kernel, batch++, 64, &shards[0]);
     benchmark::DoNotOptimize(est.detected);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *

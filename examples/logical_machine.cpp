@@ -15,7 +15,7 @@
 #include "code/repetition.h"
 #include "local/lattice.h"
 #include "local/machine1d.h"
-#include "noise/monte_carlo.h"
+#include "noise/parallel_mc.h"
 #include "rev/simulator.h"
 #include "support/table.h"
 

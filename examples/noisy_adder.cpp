@@ -18,7 +18,7 @@
 #include <vector>
 
 #include "ft/concat.h"
-#include "noise/monte_carlo.h"
+#include "noise/parallel_mc.h"
 #include "rev/synthesis.h"
 #include "support/table.h"
 

@@ -85,7 +85,7 @@ void apply_noisy_checked_words(PackedSimulator& sim, PackedState& state,
                                std::uint64_t* detected,
                                std::uint64_t* fired_masks) {
   REVFT_CHECK_MSG(checked.circuit.width() == state.width(),
-                  "apply_noisy_checked: width mismatch");
+                  "apply_noisy_checked_words: width mismatch");
   REVFT_CHECK_MSG(checked.checkpoint_spans.size() == checked.checkpoints.size(),
                   "apply_noisy_checked_words: checkpoint_spans missing (build "
                   "the circuit with to_parity_rail)");
@@ -104,17 +104,6 @@ void apply_noisy_checked_words(PackedSimulator& sim, PackedState& state,
       return;
   }
   REVFT_CHECK_MSG(false, "apply_noisy_checked_words: bad lane_words");
-}
-
-std::uint64_t apply_noisy_checked(PackedSimulator& sim, PackedState& state,
-                                  const CheckedCircuit& checked,
-                                  std::uint64_t* fired_masks) {
-  REVFT_CHECK_MSG(state.lane_words() == 1,
-                  "apply_noisy_checked: legacy overload is single-word; use "
-                  "apply_noisy_checked_words for wide states");
-  std::uint64_t detected = 0;
-  apply_noisy_checked_words(sim, state, checked, &detected, fired_masks);
-  return detected;
 }
 
 }  // namespace revft::detect

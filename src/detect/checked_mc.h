@@ -143,175 +143,40 @@ struct DetectionEstimate {
   bool operator==(const DetectionEstimate&) const = default;
 };
 
-/// Apply checked.circuit noisily and return the per-lane detected
-/// bitmask: bit t set means some checkpoint saw a rail invariant
-/// violated in lane t, or some ZeroCheck saw a nonzero bit there.
-/// Embedded check bits, when present, are folded into the mask at the
-/// end. When `fired_masks` is non-null it must point at
-/// checked.rails.size() + 1 words, which are overwritten with the
-/// per-lane fired mask of each rail ([0, rails.size())) and of the
-/// zero checks (last slot); embedded check-bit detections appear only
-/// in the combined mask. Consumes RNG identically for a fixed
-/// simulator state, so the sharded determinism contract carries over.
-std::uint64_t apply_noisy_checked(PackedSimulator& sim, PackedState& state,
-                                  const CheckedCircuit& checked,
-                                  std::uint64_t* fired_masks = nullptr);
-
-/// Multi-word generalization for states with lane_words() >= 1:
-/// `detected` points at lane_words words (overwritten with the
-/// per-lane detected mask), and `fired_masks` (nullable) at
-/// (rails.size() + 1) * lane_words words laid out rail-major —
-/// fired_masks[r * lane_words + w] is rail r's fired mask for lane
-/// word w, with the zero-check masks in the last slot group. At
-/// lane_words == 1 this is exactly the legacy overload above (same
-/// RNG stream, same masks, same layout). Checkpoints are evaluated
-/// off CheckedCircuit::checkpoint_spans (the flattened CSR view
-/// to_parity_rail builds); a circuit without them throws
-/// revft::Error.
+/// Apply checked.circuit noisily and write the per-lane detected mask
+/// to `detected` (lane_words words): bit t of word w set means some
+/// checkpoint saw a rail invariant violated in lane 64w + t, or some
+/// ZeroCheck saw a nonzero bit there. Embedded check bits, when
+/// present, are folded into the mask at the end. `fired_masks`
+/// (nullable) points at (rails.size() + 1) * lane_words words laid out
+/// rail-major — fired_masks[r * lane_words + w] is rail r's fired mask
+/// for lane word w, with the zero-check masks in the last slot group;
+/// embedded check-bit detections appear only in the combined mask.
+/// Consumes RNG identically for a fixed simulator state, so the sharded
+/// determinism contract carries over. Checkpoints are evaluated off
+/// CheckedCircuit::checkpoint_spans (the flattened CSR view
+/// to_parity_rail builds); a circuit without them throws revft::Error.
 void apply_noisy_checked_words(PackedSimulator& sim, PackedState& state,
                                const CheckedCircuit& checked,
                                std::uint64_t* detected,
                                std::uint64_t* fired_masks = nullptr);
 
-namespace detail {
-
-/// Checked counterpart of noise/monte_carlo.h's run_mc_span: identical
-/// batching, lane accounting and classify form, but every trial lands
-/// in one of the four DetectionEstimate buckets (word operations on the
-/// detected and wrong lane masks).
+/// The checked engine (noise/parallel_mc.h runs it one prepared batch
+/// at a time): apply the checked circuit noisily with its checks,
+/// classify the live lanes once, and sort every live trial into one of
+/// the four DetectionEstimate buckets with word operations on the
+/// detected and wrong lane masks. The accepted lanes are the live lanes
+/// no check fired on; the headline is the post-selected silent rate.
 ///
-/// `trace` (nullable) receives per-batch telemetry: detect.* counters
-/// (trials, detected per rail, zero checks) plus kRailFired /
-/// kZeroCheckFired events carrying the per-rail fired lane masks and
-/// one kBatchAccept event per batch. Events fire at most once per
-/// (batch, rail), so the stream is bounded by the batch count, and
-/// every hook is gated on the pointer — an untraced run executes the
-/// identical instruction stream.
-template <typename PrepareFn, typename ClassifyFn>
-DetectionEstimate run_checked_mc_span(PackedSimulator& sim, PackedState& state,
-                                      const CheckedCircuit& checked,
-                                      std::uint64_t first_batch,
-                                      std::uint64_t trials, PrepareFn&& prepare,
-                                      ClassifyFn&& classify,
-                                      telemetry::ShardTrace* trace = nullptr) {
-  DetectionEstimate est;
-  est.rail_detected.assign(checked.rails.size(), 0);
-  const unsigned lane_words = state.lane_words();
-  const std::uint64_t lanes_per_batch = 64ULL * lane_words;
-  std::vector<std::uint64_t> detected_words(lane_words, 0);
-  std::vector<std::uint64_t> fired((checked.rails.size() + 1) * lane_words, 0);
-  const bool tracing = trace != nullptr && trace->enabled();
-  std::uint64_t* m_batches = nullptr;
-  std::uint64_t* m_trials = nullptr;
-  std::uint64_t* m_detected = nullptr;
-  std::uint64_t* m_zero = nullptr;
-  std::vector<std::uint64_t>* m_rail = nullptr;
-  if (tracing) {
-    // Register everything before taking handles (registration may
-    // reallocate the registry; plain bumps never do).
-    trace->metrics().counter("detect.batches");
-    trace->metrics().counter("detect.trials");
-    trace->metrics().counter("detect.detected");
-    trace->metrics().counter("detect.zero_check_fired");
-    trace->metrics().counter_vec("detect.rail_fired", checked.rails.size());
-    m_batches = &trace->metrics().counter("detect.batches");
-    m_trials = &trace->metrics().counter("detect.trials");
-    m_detected = &trace->metrics().counter("detect.detected");
-    m_zero = &trace->metrics().counter("detect.zero_check_fired");
-    m_rail = &trace->metrics().counter_vec("detect.rail_fired",
-                                           checked.rails.size());
-  }
-  const std::uint64_t batches =
-      (trials + lanes_per_batch - 1) / lanes_per_batch;
-  for (std::uint64_t b = 0; b < batches; ++b) {
-    const std::uint64_t batch = first_batch + b;
-    const int lanes_this_batch =
-        (b + 1 == batches && trials % lanes_per_batch != 0)
-            ? static_cast<int>(trials % lanes_per_batch)
-            : static_cast<int>(lanes_per_batch);
-    state.clear();
-    prepare(state, sim.rng(), batch);
-    apply_noisy_checked_words(sim, state, checked, detected_words.data(),
-                              fired.data());
-    const LaneMask live = LaneMask::first_n(
-        lane_words, static_cast<std::uint64_t>(lanes_this_batch));
-    const LaneMask wrong = classify(state, batch, live);
-    est.trials += static_cast<std::uint64_t>(lanes_this_batch);
-    std::uint64_t batch_detected = 0;
-    for (unsigned w = 0; w < lane_words; ++w) {
-      const std::uint64_t det = detected_words[w] & live.word(w);
-      batch_detected += static_cast<std::uint64_t>(std::popcount(det));
-      est.detected_failures +=
-          static_cast<std::uint64_t>(std::popcount(det & wrong.word(w)));
-      est.silent_failures +=
-          static_cast<std::uint64_t>(std::popcount(wrong.word(w) & ~det));
-    }
-    est.detected += batch_detected;
-    std::uint64_t any_detected = 0;
-    for (unsigned w = 0; w < lane_words; ++w) any_detected |= detected_words[w];
-    if (any_detected != 0) {
-      for (std::size_t r = 0; r < checked.rails.size(); ++r)
-        for (unsigned w = 0; w < lane_words; ++w)
-          est.rail_detected[r] += static_cast<std::uint64_t>(
-              std::popcount(fired[r * lane_words + w] & live.word(w)));
-      for (unsigned w = 0; w < lane_words; ++w)
-        est.zero_check_detected += static_cast<std::uint64_t>(std::popcount(
-            fired[checked.rails.size() * lane_words + w] & live.word(w)));
-      if (tracing) {
-        for (std::size_t r = 0; r < checked.rails.size(); ++r) {
-          for (unsigned w = 0; w < lane_words; ++w) {
-            const std::uint64_t lanes = fired[r * lane_words + w] & live.word(w);
-            if (lanes == 0) continue;
-            (*m_rail)[r] += static_cast<std::uint64_t>(std::popcount(lanes));
-            telemetry::Event ev;
-            ev.kind = telemetry::EventKind::kRailFired;
-            ev.shard = trace->shard_index();
-            ev.rail = static_cast<std::uint16_t>(r);
-            ev.batch = batch;
-            ev.lanes = lanes;
-            trace->emit(ev);
-          }
-        }
-        for (unsigned w = 0; w < lane_words; ++w) {
-          const std::uint64_t zero_lanes =
-              fired[checked.rails.size() * lane_words + w] & live.word(w);
-          if (zero_lanes == 0) continue;
-          *m_zero += static_cast<std::uint64_t>(std::popcount(zero_lanes));
-          telemetry::Event ev;
-          ev.kind = telemetry::EventKind::kZeroCheckFired;
-          ev.shard = trace->shard_index();
-          ev.batch = batch;
-          ev.lanes = zero_lanes;
-          trace->emit(ev);
-        }
-      }
-    }
-    if (tracing) {
-      ++*m_batches;
-      *m_trials += static_cast<std::uint64_t>(lanes_this_batch);
-      *m_detected += batch_detected;
-      for (unsigned w = 0; w < lane_words; ++w) {
-        const std::uint64_t ok = live.word(w) & ~detected_words[w];
-        telemetry::Event ev;
-        ev.kind = telemetry::EventKind::kBatchAccept;
-        ev.shard = trace->shard_index();
-        ev.batch = batch;
-        ev.lanes = ok;
-        ev.value = static_cast<std::uint64_t>(std::popcount(ok));
-        trace->emit(ev);
-      }
-    }
-  }
-  return est;
-}
-
-}  // namespace detail
-
-/// The checked engine's adapter for the Monte-Carlo driver
-/// (noise/parallel_mc.h); its headline is the post-selected silent rate.
+/// Under a tracing `trace` it bumps the detect.detected,
+/// detect.zero_check_fired and per-rail detect.rail_fired counters and
+/// emits kRailFired / kZeroCheckFired events carrying the per-rail
+/// fired lane masks — at most one per (batch, rail, lane word), so the
+/// stream is bounded by the batch count.
 struct CheckedEngine {
   using Estimate = DetectionEstimate;
   static constexpr const char* kName = "checked";
+  static constexpr const char* kMetricPrefix = "detect";
 
   const CheckedCircuit& checked;
 
@@ -319,11 +184,79 @@ struct CheckedEngine {
 
   template <typename Kernel>
   Estimate run_batch(PackedSimulator& sim, PackedState& state, Kernel& kernel,
-                     std::uint64_t batch, std::uint64_t trials,
-                     telemetry::ShardTrace* trace) const {
-    return detail::run_checked_mc_span(sim, state, checked, batch, trials,
-                                       kernel_prepare(kernel),
-                                       kernel_classify(kernel), trace);
+                     std::uint64_t batch, const LaneMask& live,
+                     LaneMask& accepted, telemetry::ShardTrace* trace) const {
+    const unsigned lane_words = state.lane_words();
+    const std::size_t rails = checked.rails.size();
+    const bool tracing = trace != nullptr && trace->enabled();
+    std::uint64_t* m_detected = nullptr;
+    std::uint64_t* m_zero = nullptr;
+    std::vector<std::uint64_t>* m_rail = nullptr;
+    if (tracing) {
+      // Register everything before taking handles (registration may
+      // reallocate the registry; plain bumps never do).
+      telemetry::MetricsRegistry& m = trace->metrics();
+      m.counter("detect.detected");
+      m.counter("detect.zero_check_fired");
+      m.counter_vec("detect.rail_fired", rails);
+      m_detected = &m.counter("detect.detected");
+      m_zero = &m.counter("detect.zero_check_fired");
+      m_rail = &m.counter_vec("detect.rail_fired", rails);
+    }
+    LaneMask detected(lane_words);
+    std::vector<std::uint64_t> fired((rails + 1) * lane_words, 0);
+    apply_noisy_checked_words(sim, state, checked, detected.data(),
+                              fired.data());
+    const LaneMask wrong = kernel_classify(kernel)(state, batch, live);
+    accepted = live;
+    accepted.remove(detected);
+
+    Estimate est;
+    est.rail_detected.assign(rails, 0);
+    const LaneMask live_detected = detected & live;
+    est.detected = live_detected.popcount();
+    est.detected_failures = (live_detected & wrong).popcount();
+    LaneMask silent = wrong;
+    silent.remove(live_detected);
+    est.silent_failures = silent.popcount();
+    if (tracing) *m_detected += est.detected;
+    if (detected.none()) return est;
+
+    for (std::size_t r = 0; r < rails; ++r)
+      for (unsigned w = 0; w < lane_words; ++w)
+        est.rail_detected[r] += static_cast<std::uint64_t>(
+            std::popcount(fired[r * lane_words + w] & live.word(w)));
+    for (unsigned w = 0; w < lane_words; ++w)
+      est.zero_check_detected += static_cast<std::uint64_t>(std::popcount(
+          fired[rails * lane_words + w] & live.word(w)));
+    if (!tracing) return est;
+    for (std::size_t r = 0; r < rails; ++r) {
+      for (unsigned w = 0; w < lane_words; ++w) {
+        const std::uint64_t lanes = fired[r * lane_words + w] & live.word(w);
+        if (lanes == 0) continue;
+        (*m_rail)[r] += static_cast<std::uint64_t>(std::popcount(lanes));
+        telemetry::Event ev;
+        ev.kind = telemetry::EventKind::kRailFired;
+        ev.shard = trace->shard_index();
+        ev.rail = static_cast<std::uint16_t>(r);
+        ev.batch = batch;
+        ev.lanes = lanes;
+        trace->emit(ev);
+      }
+    }
+    for (unsigned w = 0; w < lane_words; ++w) {
+      const std::uint64_t zero_lanes =
+          fired[rails * lane_words + w] & live.word(w);
+      if (zero_lanes == 0) continue;
+      *m_zero += static_cast<std::uint64_t>(std::popcount(zero_lanes));
+      telemetry::Event ev;
+      ev.kind = telemetry::EventKind::kZeroCheckFired;
+      ev.shard = trace->shard_index();
+      ev.batch = batch;
+      ev.lanes = zero_lanes;
+      trace->emit(ev);
+    }
+    return est;
   }
 
   static BernoulliEstimate headline(const Estimate& est) noexcept {

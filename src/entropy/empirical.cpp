@@ -3,7 +3,7 @@
 #include <vector>
 
 #include "ft/ec_circuit.h"
-#include "noise/monte_carlo.h"
+#include "noise/parallel_mc.h"
 #include "support/entropy_math.h"
 
 namespace revft {

@@ -3,12 +3,29 @@
 // The Monte-Carlo driver. run_mc runs any engine (plain, checked,
 // recovering) over a sharded trial budget on `threads` workers, folds
 // the per-batch estimates into rounds, records a convergence snapshot
-// per round and decides when to stop. An engine is a small adapter
-// next to its span function (PlainEngine in noise/monte_carlo.h,
-// detect::CheckedEngine, recover::RecoveringEngine): an Estimate type
-// that merges exactly under +=, a kName, width(), a
-// run_batch(sim, state, kernel, batch, trials, shard_trace) that runs
-// ONE batch, and a static headline(estimate) for the stop policy.
+// per round and decides when to stop.
+//
+// What a batch is, is decided here alone. detail::run_engine_batch is
+// the one place that clears the state, prepares it through the kernel,
+// builds the live mask (the first `lanes` lanes; only the last batch of
+// a shard can be partial) and counts the batch: the estimate's trials,
+// the <prefix>.batches / <prefix>.trials counters and one kBatchAccept
+// event per lane word. run_mc calls it batch by batch; detail::run_shard
+// is the serial loop over it (run_packed_mc, benches, test references).
+// An engine (PlainEngine in noise/monte_carlo.h, detect::CheckedEngine,
+// recover::RecoveringEngine) only runs and judges one prepared batch
+// and returns its accepted lanes:
+//   using Estimate = ...;            // merges exactly under +=, has .trials
+//   static constexpr const char* kName, kMetricPrefix;
+//   std::uint32_t width() const;
+//   Estimate run_batch(PackedSimulator&, PackedState&, Kernel&,
+//                      std::uint64_t batch, const LaneMask& live,
+//                      LaneMask& accepted, telemetry::ShardTrace*) const;
+//   static BernoulliEstimate headline(const Estimate&);  // stop policy
+// run_batch applies the circuit to the prepared state, judges the live
+// lanes, bumps its own counters and events, and sets `accepted` to the
+// live lanes it accepts (plain: judged right; checked: not detected;
+// recovering: accepted after retries).
 //
 // The budget splits into shards of batches_per_shard batches of
 // 64 * lane_words trials (plan_shards). A shard's {kernel, simulator
@@ -39,15 +56,18 @@
 // and optionally
 //   void classify_batch(const PackedState&, std::uint64_t batch,
 //                       LaneMask& wrong);
-// classify returning true counts a failure; classify_batch sets every
-// lane of `wrong` to what classify would return for it. Every engine
-// judges a batch once, through kernel_classify (noise/monte_carlo.h):
-// one classify_batch call when the kernel has one, else classify on
-// each judged lane in ascending order. The factory is called from
-// worker threads and must be safe to invoke concurrently.
+// prepare fills every lane of a cleared state (rail and check bits left
+// zero for the checked engines). classify returning true counts a
+// failure; classify_batch sets every lane of `wrong` to what classify
+// would return for it. Every engine judges a batch once, through
+// kernel_classify (noise/monte_carlo.h): one classify_batch call when
+// the kernel has one, else classify on each judged lane in ascending
+// order. The factory is called from worker threads and must be safe to
+// invoke concurrently.
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cstdint>
 #include <functional>
@@ -139,6 +159,81 @@ struct StreamResult {
 
 namespace detail {
 
+/// Lanes of batch `b` (0-based) of a shard of `trials` trials: full
+/// batches of `lanes_per_batch`, the last one partial when needed.
+constexpr std::uint64_t batch_lanes(std::uint64_t trials, std::uint64_t b,
+                                    std::uint64_t lanes_per_batch) {
+  return std::min(lanes_per_batch, trials - b * lanes_per_batch);
+}
+
+/// The counter `<prefix><leaf>` of `trace`'s registry.
+inline std::uint64_t& prefixed_counter(telemetry::ShardTrace& trace,
+                                       const char* prefix, const char* leaf) {
+  std::string name(prefix);
+  name += leaf;
+  return trace.metrics().counter(name);
+}
+
+/// The batch step (see the file comment): clear and prepare `state`,
+/// hand the first `lanes` lanes to the engine as the live mask, and
+/// count the batch. Under a tracing `trace` the step registers
+/// <prefix>.batches and <prefix>.trials before the engine registers its
+/// own metrics (so they lead the registration order), bumps them after
+/// it, and emits one kBatchAccept event per lane word carrying that
+/// word's accepted lanes.
+template <typename Engine, typename Kernel>
+typename Engine::Estimate run_engine_batch(const Engine& engine,
+                                           PackedSimulator& sim,
+                                           PackedState& state, Kernel& kernel,
+                                           std::uint64_t batch,
+                                           std::uint64_t lanes,
+                                           telemetry::ShardTrace* trace) {
+  const bool tracing = trace != nullptr && trace->enabled();
+  if (tracing) {
+    prefixed_counter(*trace, Engine::kMetricPrefix, ".batches");
+    prefixed_counter(*trace, Engine::kMetricPrefix, ".trials");
+  }
+  state.clear();
+  kernel.prepare(state, sim.rng(), batch);
+  const LaneMask live = LaneMask::first_n(state.lane_words(), lanes);
+  LaneMask accepted(state.lane_words());
+  typename Engine::Estimate est =
+      engine.run_batch(sim, state, kernel, batch, live, accepted, trace);
+  est.trials += lanes;
+  if (tracing) {
+    ++prefixed_counter(*trace, Engine::kMetricPrefix, ".batches");
+    prefixed_counter(*trace, Engine::kMetricPrefix, ".trials") += lanes;
+    for (unsigned w = 0; w < accepted.words(); ++w) {
+      telemetry::Event ev;
+      ev.kind = telemetry::EventKind::kBatchAccept;
+      ev.shard = trace->shard_index();
+      ev.batch = batch;
+      ev.lanes = accepted.word(w);
+      ev.value = static_cast<std::uint64_t>(std::popcount(ev.lanes));
+      trace->emit(ev);
+    }
+  }
+  return est;
+}
+
+/// One shard run serially on the caller's simulator and state: `trials`
+/// trials in batches of 64 * state.lane_words() from global batch
+/// `first_batch` on, each through run_engine_batch, their estimates
+/// summed in order.
+template <typename Engine, typename Kernel>
+typename Engine::Estimate run_shard(const Engine& engine, PackedSimulator& sim,
+                                    PackedState& state, Kernel& kernel,
+                                    std::uint64_t first_batch,
+                                    std::uint64_t trials,
+                                    telemetry::ShardTrace* trace = nullptr) {
+  const std::uint64_t lanes_per_batch = 64ULL * state.lane_words();
+  typename Engine::Estimate est{};
+  for (std::uint64_t b = 0; b * lanes_per_batch < trials; ++b)
+    est += run_engine_batch(engine, sim, state, kernel, first_batch + b,
+                            batch_lanes(trials, b, lanes_per_batch), trace);
+  return est;
+}
+
 /// The typed halves of run_mc that drive_shards calls back into.
 struct ShardHooks {
   /// Any worker, no lock held: run batch `batch` (0-based) of `shard`.
@@ -224,9 +319,10 @@ telemetry::StreamResult<typename Engine::Estimate> run_mc(
     if (b == 0)
       slot.bundle.emplace(factory, shard, model, engine.width(), mc.lane_words);
     Bundle& bundle = *slot.bundle;
-    slot.pending.push_back(engine.run_batch(
-        bundle.sim, bundle.state, bundle.kernel, shard.first_batch + b,
-        std::min(lanes_per_batch, shard.trials - b * lanes_per_batch),
+    slot.pending.push_back(detail::run_engine_batch(
+        engine, bundle.sim, bundle.state, bundle.kernel,
+        shard.first_batch + b,
+        detail::batch_lanes(shard.trials, b, lanes_per_batch),
         trace != nullptr ? &shard_traces[i] : nullptr));
     if (b + 1 == batches[i]) slot.bundle.reset();
   };
@@ -269,6 +365,31 @@ BernoulliEstimate run_parallel_mc(const Circuit& circuit,
   telemetry::StreamOptions run;
   run.mc = opts;
   return run_mc(PlainEngine{circuit}, model, run, factory, trace).estimate;
+}
+
+/// Single-threaded harness: one simulator seeded with opts.seed runs
+/// every batch in order (detail::run_shard over the plain engine).
+/// `prepare(state, rng, batch)` fills a cleared batch;
+/// `classify(state, lane, batch) -> bool` judges one lane (true counts
+/// a *failure*) and is called once per counted lane, in order.
+template <typename PrepareFn, typename LaneClassifyFn>
+BernoulliEstimate run_packed_mc(const Circuit& circuit, const NoiseModel& model,
+                                const McOptions& opts, PrepareFn&& prepare,
+                                LaneClassifyFn&& classify) {
+  struct Kernel {
+    PrepareFn& prepare_fn;
+    LaneClassifyFn& classify_fn;
+    void prepare(PackedState& s, Xoshiro256& rng, std::uint64_t batch) {
+      prepare_fn(s, rng, batch);
+    }
+    bool classify(const PackedState& s, int lane, std::uint64_t batch) {
+      return classify_fn(s, lane, batch);
+    }
+  } kernel{prepare, classify};
+  PackedSimulator sim(model, opts.seed);
+  PackedState state(circuit.width(), opts.lane_words);
+  return detail::run_shard(PlainEngine{circuit}, sim, state, kernel,
+                           /*first_batch=*/0, opts.trials);
 }
 
 }  // namespace revft

@@ -15,13 +15,11 @@ namespace {
 int popcount(std::uint64_t mask) { return std::popcount(mask); }
 
 /// Pre-registered metric handles plus the event sink, resolved once
-/// per span so the hot path bumps raw integers (registration can
+/// per batch so the hot path bumps raw integers (registration can
 /// reallocate the registry; plain bumps never do). Null trace = no
 /// hooks anywhere.
 struct TraceHooks {
   telemetry::ShardTrace* trace = nullptr;
-  std::uint64_t* batches = nullptr;
-  std::uint64_t* trials = nullptr;
   std::uint64_t* local_retries = nullptr;
   std::uint64_t* restarts = nullptr;
   std::uint64_t* fallbacks = nullptr;
@@ -35,8 +33,6 @@ struct TraceHooks {
     TraceHooks h;
     if (trace == nullptr || !trace->enabled()) return h;
     telemetry::MetricsRegistry& m = trace->metrics();
-    m.counter("recover.batches");
-    m.counter("recover.trials");
     m.counter("recover.local_retries");
     m.counter("recover.program_restarts");
     m.counter("recover.fallbacks");
@@ -45,8 +41,6 @@ struct TraceHooks {
     m.counter_vec("recover.segment.replay_ops", segments);
     m.histogram("recover.replays_per_batch", {0, 1, 2, 4, 8, 16, 32});
     h.trace = trace;
-    h.batches = &m.counter("recover.batches");
-    h.trials = &m.counter("recover.trials");
     h.local_retries = &m.counter("recover.local_retries");
     h.restarts = &m.counter("recover.program_restarts");
     h.fallbacks = &m.counter("recover.fallbacks");
@@ -243,17 +237,17 @@ LaneMask fired_lanes(const std::vector<std::uint64_t>& comp_fired,
 
 }  // namespace
 
-RecoveryEstimate run_recovering_mc_span(
+RecoveryEstimate run_recovering_batch(
     PackedSimulator& sim, PackedState& state,
     const detect::CheckedCircuit& checked, const SegmentPlan& plan,
-    const RetryPolicy& policy, std::uint64_t first_batch, std::uint64_t trials,
-    const PrepareFn& prepare, const ClassifyFn& classify,
+    const RetryPolicy& policy, std::uint64_t batch, const LaneMask& live,
+    const ClassifyFn& classify, LaneMask& accepted,
     telemetry::ShardTrace* trace) {
   const Circuit& circuit = checked.circuit;
   REVFT_CHECK_MSG(plan.total_ops == circuit.size(),
-                  "run_recovering_mc_span: plan built for a different circuit");
+                  "run_recovering_batch: plan built for a different circuit");
   REVFT_CHECK_MSG(checked.checkpoint_spans.size() == checked.checkpoints.size(),
-                  "run_recovering_mc_span: checkpoint_spans missing (build "
+                  "run_recovering_batch: checkpoint_spans missing (build "
                   "the circuit with to_parity_rail)");
   RecoveryEstimate est;
   est.rail_events.assign(checked.rails.size(), 0);
@@ -272,275 +266,250 @@ RecoveryEstimate run_recovering_mc_span(
   std::vector<std::uint64_t> comp_fired;
   std::vector<std::uint64_t> lane_set(lanes_per_batch, 0);
   std::vector<int> local_left(lanes_per_batch, 0);
-  std::vector<int> program_left(lanes_per_batch, 0);
+  std::vector<int> program_left(lanes_per_batch, policy.max_program_attempts);
   // Replay groups of one retry round: (fired-component set, lanes),
   // kept sorted by set.
   std::vector<std::pair<std::uint64_t, LaneMask>> groups;
   // Op positions of a multi-component replay.
   std::vector<std::size_t> replay_positions;
 
-  const std::uint64_t batches =
-      (trials + lanes_per_batch - 1) / lanes_per_batch;
-  for (std::uint64_t b = 0; b < batches; ++b) {
-    const std::uint64_t batch = first_batch + b;
-    const int lanes_this_batch =
-        (b + 1 == batches && trials % lanes_per_batch != 0)
-            ? static_cast<int>(trials % lanes_per_batch)
-            : static_cast<int>(lanes_per_batch);
-    const LaneMask live = LaneMask::first_n(
-        W, static_cast<std::uint64_t>(lanes_this_batch));
-    state.clear();
-    prepare(state, sim.rng(), batch);
-    entry_cp.capture(state);
-    // Only block-local rollback ever reads the boundary checkpoint;
-    // the other policies restart from entry_cp, so skip the per-
-    // boundary copies on their hot path (captures draw no randomness,
-    // so this cannot shift any estimate).
-    const bool keep_boundaries = policy.kind == RetryPolicyKind::kBlockLocal;
-    if (keep_boundaries) boundary_cp.capture(state);
-    std::fill(program_left.begin(), program_left.end(),
-              policy.max_program_attempts);
+  entry_cp.capture(state);
+  // Only block-local rollback ever reads the boundary checkpoint;
+  // the other policies restart from entry_cp, so skip the per-
+  // boundary copies on their hot path (captures draw no randomness,
+  // so this cannot shift any estimate).
+  const bool keep_boundaries = policy.kind == RetryPolicyKind::kBlockLocal;
+  if (keep_boundaries) boundary_cp.capture(state);
 
-    LaneMask active = live;
-    LaneMask restart_pending(W);
-    LaneMask rejected(W);
-    LaneMask detected_lanes(W);
-    std::uint64_t batch_replays = 0;
+  LaneMask active = live;
+  LaneMask restart_pending(W);
+  LaneMask rejected(W);
+  LaneMask detected_lanes(W);
+  std::uint64_t batch_replays = 0;
 
-    // --- first pass: segment walk with per-boundary reaction --------
-    for (std::size_t si = 0; si < plan.segments.size(); ++si) {
-      const Segment& seg = plan.segments[si];
-      const std::uint32_t seg_id = static_cast<std::uint32_t>(si);
-      sim.apply_noisy_span(state, circuit, seg.begin, seg.end + 1);
-      est.ops_main += seg.op_count() * active.popcount();
-      comp_fired.assign(seg.components.size() * W, 0);
-      eval_boundary(checked, seg, state, ~0ULL, comp_fired, &est, active, hp,
-                    seg_id, batch);
-      LaneMask fired_any(W);
-      for (std::size_t c = 0; c < seg.components.size(); ++c)
-        for (unsigned w = 0; w < W; ++w)
-          fired_any.word(w) |= comp_fired[c * W + w];
-      fired_any &= active;
-      if (fired_any.any()) {
-        detected_lanes |= fired_any;
-        switch (policy.kind) {
-          case RetryPolicyKind::kNoRetry:
-            rejected |= fired_any;
-            active.remove(fired_any);
-            break;
-          case RetryPolicyKind::kWholeProgram:
-            restart_pending |= fired_any;
-            active.remove(fired_any);
-            break;
-          case RetryPolicyKind::kBlockLocal: {
-            LaneMask outstanding = fired_any;
-            for_each_lane(fired_any, [&](unsigned lane) {
-              lane_set[lane] = 0;
-              local_left[lane] = policy.max_local_attempts;
+  // --- first pass: segment walk with per-boundary reaction --------
+  for (std::size_t si = 0; si < plan.segments.size(); ++si) {
+    const Segment& seg = plan.segments[si];
+    const std::uint32_t seg_id = static_cast<std::uint32_t>(si);
+    sim.apply_noisy_span(state, circuit, seg.begin, seg.end + 1);
+    est.ops_main += seg.op_count() * active.popcount();
+    comp_fired.assign(seg.components.size() * W, 0);
+    eval_boundary(checked, seg, state, ~0ULL, comp_fired, &est, active, hp,
+                  seg_id, batch);
+    LaneMask fired_any(W);
+    for (std::size_t c = 0; c < seg.components.size(); ++c)
+      for (unsigned w = 0; w < W; ++w)
+        fired_any.word(w) |= comp_fired[c * W + w];
+    fired_any &= active;
+    if (fired_any.any()) {
+      detected_lanes |= fired_any;
+      switch (policy.kind) {
+        case RetryPolicyKind::kNoRetry:
+          rejected |= fired_any;
+          active.remove(fired_any);
+          break;
+        case RetryPolicyKind::kWholeProgram:
+          restart_pending |= fired_any;
+          active.remove(fired_any);
+          break;
+        case RetryPolicyKind::kBlockLocal: {
+          LaneMask outstanding = fired_any;
+          for_each_lane(fired_any, [&](unsigned lane) {
+            lane_set[lane] = 0;
+            local_left[lane] = policy.max_local_attempts;
+          });
+          // Transpose the fired masks into per-lane component sets.
+          for (std::size_t c = 0; c < seg.components.size(); ++c) {
+            LaneMask fired_c(W);
+            for (unsigned w = 0; w < W; ++w)
+              fired_c.word(w) = comp_fired[c * W + w] & fired_any.word(w);
+            for_each_lane(fired_c, [&](unsigned lane) {
+              lane_set[lane] |= 1ULL << c;
             });
-            // Transpose the fired masks into per-lane component sets.
-            for (std::size_t c = 0; c < seg.components.size(); ++c) {
-              LaneMask fired_c(W);
-              for (unsigned w = 0; w < W; ++w)
-                fired_c.word(w) = comp_fired[c * W + w] & fired_any.word(w);
-              for_each_lane(fired_c, [&](unsigned lane) {
-                lane_set[lane] |= 1ULL << c;
-              });
-            }
-            LaneMask failed(W);
-            if (policy.max_local_attempts <= 0) {
-              failed = outstanding;
-              outstanding.clear();
-            }
-            while (outstanding.any()) {
-              // Group lanes by identical fired-component sets; process
-              // in ascending set order so the RNG consumption — and
-              // with it the whole estimate — is a pure function of the
-              // shard.
-              groups.clear();
-              for_each_lane(outstanding, [&](unsigned lane) {
-                const std::uint64_t set = lane_set[lane];
-                auto it = std::lower_bound(
-                    groups.begin(), groups.end(), set,
-                    [](const auto& group, std::uint64_t key) {
-                      return group.first < key;
-                    });
-                if (it == groups.end() || it->first != set)
-                  it = groups.emplace(it, set, LaneMask(W));
-                it->second.set(lane);
-              });
-              for (const auto& [set, consumers] : groups) {
-                // Few consumers replay in a narrow state holding only
-                // the fired components' footprint (the cells the replay
-                // writes and the checks read); the rest restore the
-                // whole scratch state.
-                PackedState* narrow = narrow_retry.fit(consumers);
-                if (narrow != nullptr) {
-                  for (std::uint64_t s = set; s != 0; s &= s - 1)
-                    gather_cells_lanes(
-                        *narrow, boundary_cp,
-                        seg.components[static_cast<std::size_t>(
-                                           std::countr_zero(s))]
-                            .cells,
-                        narrow_retry.lanes());
-                } else {
-                  boundary_cp.restore_all(scratch);
-                }
-                PackedState& replay = narrow != nullptr ? *narrow : scratch;
-                const std::uint64_t replay_ops =
-                    replay_components(sim, replay, circuit, seg, set,
-                                      replay_positions);
-                const std::uint64_t consumer_count = consumers.popcount();
-                est.ops_local += replay_ops * consumer_count;
-                est.local_retries += consumer_count;
-                batch_replays += consumer_count;
-                if (hp != nullptr) {
-                  *hooks.local_retries += consumer_count;
-                  (*hooks.seg_replays)[si] += consumer_count;
-                  (*hooks.seg_replay_ops)[si] += replay_ops * consumer_count;
-                  hooks.emit_mask(telemetry::EventKind::kCheckpointRestore,
-                                  batch, seg_id, 0, consumers, 0);
-                  hooks.emit_mask(telemetry::EventKind::kSegmentReplay, batch,
-                                  seg_id, 0, consumers, replay_ops);
-                }
-                const unsigned RW = replay.lane_words();
-                comp_fired.assign(seg.components.size() * RW, 0);
-                eval_boundary(checked, seg, replay, set, comp_fired, nullptr,
-                              no_lanes);
-                const LaneMask refired = fired_lanes(comp_fired, set, RW);
-                LaneMask accept_replay =
-                    narrow != nullptr ? narrow_retry.occupied(RW) : consumers;
-                accept_replay.remove(refired);
-                const LaneMask accept_mask =
-                    narrow != nullptr ? narrow_retry.widen(accept_replay)
-                                      : accept_replay;
-                // On a partial success (some components clean, some
-                // re-fired) the lane keeps its FULL fired set: each
-                // attempt restores from the boundary checkpoint, so a
-                // component repaired in a discarded replay was never
-                // blended into `state` — shrinking to the re-fired
-                // subset would accept the lane with the original
-                // corruption still in place.
-                LaneMask retry = consumers;
-                retry.remove(accept_mask);
-                for_each_lane(retry, [&](unsigned lane) {
-                  if (--local_left[lane] <= 0) {
-                    failed.set(lane);
-                    outstanding.reset(lane);
-                  }
-                });
-                if (accept_mask.any()) {
-                  for (std::uint64_t s = set; s != 0; s &= s - 1) {
-                    const auto& cells =
-                        seg.components[static_cast<std::size_t>(
-                                           std::countr_zero(s))]
-                            .cells;
-                    if (narrow != nullptr)
-                      scatter_cells_lanes(state, *narrow, cells,
-                                          narrow_retry.lanes(), accept_replay);
-                    else
-                      blend_cells_lanes(state, scratch, cells, accept_mask);
-                  }
-                  outstanding.remove(accept_mask);
-                }
-              }
-            }
-            if (failed.any()) {
-              est.fallbacks += failed.popcount();
-              if (hp != nullptr) {
-                *hooks.fallbacks += failed.popcount();
-                hooks.emit_mask(telemetry::EventKind::kEscalationRestart,
-                                batch, seg_id, 0, failed, 0);
-              }
-              restart_pending |= failed;
-              active.remove(failed);
-            }
-            break;
           }
+          LaneMask failed(W);
+          if (policy.max_local_attempts <= 0) {
+            failed = outstanding;
+            outstanding.clear();
+          }
+          while (outstanding.any()) {
+            // Group lanes by identical fired-component sets; process
+            // in ascending set order so the RNG consumption — and
+            // with it the whole estimate — is a pure function of the
+            // shard.
+            groups.clear();
+            for_each_lane(outstanding, [&](unsigned lane) {
+              const std::uint64_t set = lane_set[lane];
+              auto it = std::lower_bound(
+                  groups.begin(), groups.end(), set,
+                  [](const auto& group, std::uint64_t key) {
+                    return group.first < key;
+                  });
+              if (it == groups.end() || it->first != set)
+                it = groups.emplace(it, set, LaneMask(W));
+              it->second.set(lane);
+            });
+            for (const auto& [set, consumers] : groups) {
+              // Few consumers replay in a narrow state holding only
+              // the fired components' footprint (the cells the replay
+              // writes and the checks read); the rest restore the
+              // whole scratch state.
+              PackedState* narrow = narrow_retry.fit(consumers);
+              if (narrow != nullptr) {
+                for (std::uint64_t s = set; s != 0; s &= s - 1)
+                  gather_cells_lanes(
+                      *narrow, boundary_cp,
+                      seg.components[static_cast<std::size_t>(
+                                         std::countr_zero(s))]
+                          .cells,
+                      narrow_retry.lanes());
+              } else {
+                boundary_cp.restore_all(scratch);
+              }
+              PackedState& replay = narrow != nullptr ? *narrow : scratch;
+              const std::uint64_t replay_ops =
+                  replay_components(sim, replay, circuit, seg, set,
+                                    replay_positions);
+              const std::uint64_t consumer_count = consumers.popcount();
+              est.ops_local += replay_ops * consumer_count;
+              est.local_retries += consumer_count;
+              batch_replays += consumer_count;
+              if (hp != nullptr) {
+                *hooks.local_retries += consumer_count;
+                (*hooks.seg_replays)[si] += consumer_count;
+                (*hooks.seg_replay_ops)[si] += replay_ops * consumer_count;
+                hooks.emit_mask(telemetry::EventKind::kCheckpointRestore,
+                                batch, seg_id, 0, consumers, 0);
+                hooks.emit_mask(telemetry::EventKind::kSegmentReplay, batch,
+                                seg_id, 0, consumers, replay_ops);
+              }
+              const unsigned RW = replay.lane_words();
+              comp_fired.assign(seg.components.size() * RW, 0);
+              eval_boundary(checked, seg, replay, set, comp_fired, nullptr,
+                            no_lanes);
+              const LaneMask refired = fired_lanes(comp_fired, set, RW);
+              LaneMask accept_replay =
+                  narrow != nullptr ? narrow_retry.occupied(RW) : consumers;
+              accept_replay.remove(refired);
+              const LaneMask accept_mask =
+                  narrow != nullptr ? narrow_retry.widen(accept_replay)
+                                    : accept_replay;
+              // On a partial success (some components clean, some
+              // re-fired) the lane keeps its FULL fired set: each
+              // attempt restores from the boundary checkpoint, so a
+              // component repaired in a discarded replay was never
+              // blended into `state` — shrinking to the re-fired
+              // subset would accept the lane with the original
+              // corruption still in place.
+              LaneMask retry = consumers;
+              retry.remove(accept_mask);
+              for_each_lane(retry, [&](unsigned lane) {
+                if (--local_left[lane] <= 0) {
+                  failed.set(lane);
+                  outstanding.reset(lane);
+                }
+              });
+              if (accept_mask.any()) {
+                for (std::uint64_t s = set; s != 0; s &= s - 1) {
+                  const auto& cells =
+                      seg.components[static_cast<std::size_t>(
+                                         std::countr_zero(s))]
+                          .cells;
+                  if (narrow != nullptr)
+                    scatter_cells_lanes(state, *narrow, cells,
+                                        narrow_retry.lanes(), accept_replay);
+                  else
+                    blend_cells_lanes(state, scratch, cells, accept_mask);
+                }
+                outstanding.remove(accept_mask);
+              }
+            }
+          }
+          if (failed.any()) {
+            est.fallbacks += failed.popcount();
+            if (hp != nullptr) {
+              *hooks.fallbacks += failed.popcount();
+              hooks.emit_mask(telemetry::EventKind::kEscalationRestart,
+                              batch, seg_id, 0, failed, 0);
+            }
+            restart_pending |= failed;
+            active.remove(failed);
+          }
+          break;
         }
       }
-      if (keep_boundaries) boundary_cp.capture(state);
     }
-
-    est.trials += static_cast<std::uint64_t>(lanes_this_batch);
-    est.detected_trials += detected_lanes.popcount();
-    LaneMask accepted_lanes = active & live;
-
-    // --- whole-program restarts (kWholeProgram, and kBlockLocal
-    // fallbacks): full re-runs from the entry checkpoint, one attempt
-    // per pending lane per pass; a pass whose pending lanes fit a
-    // narrower width runs compacted ---------------------------------
-    LaneMask pending = restart_pending;
-    if (pending.any() && policy.max_program_attempts <= 0) {
-      rejected |= pending;
-      pending.clear();
-    }
-    while (pending.any()) {
-      est.program_restarts += pending.popcount();
-      if (hp != nullptr) *hooks.restarts += pending.popcount();
-      PackedState* narrow = narrow_retry.fit(pending);
-      if (narrow != nullptr)
-        gather_lanes(*narrow, entry_cp, narrow_retry.lanes());
-      else
-        entry_cp.restore_all(scratch);
-      PackedState& rerun = narrow != nullptr ? *narrow : scratch;
-      const unsigned RW = rerun.lane_words();
-      const LaneMask rerun_pending =
-          narrow != nullptr ? narrow_retry.occupied(RW) : pending;
-      LaneMask still_clean = LaneMask::ones(RW);
-      for (const Segment& seg : plan.segments) {
-        sim.apply_noisy_span(rerun, circuit, seg.begin, seg.end + 1);
-        // A lane pays each segment until its first fired boundary —
-        // the point a physical whole-program retry would abort at.
-        est.ops_restart +=
-            seg.op_count() * (rerun_pending & still_clean).popcount();
-        comp_fired.assign(seg.components.size() * RW, 0);
-        eval_boundary(checked, seg, rerun, ~0ULL, comp_fired, nullptr,
-                      no_lanes);
-        LaneMask fired(RW);
-        for (std::size_t c = 0; c < seg.components.size(); ++c)
-          for (unsigned w = 0; w < RW; ++w)
-            fired.word(w) |= comp_fired[c * RW + w];
-        still_clean.remove(fired);
-        // Every pending lane failed: the pass is over.
-        if ((rerun_pending & still_clean).none()) break;
-      }
-      const LaneMask accepted_rerun = rerun_pending & still_clean;
-      const LaneMask accepted_now = narrow != nullptr
-                                        ? narrow_retry.widen(accepted_rerun)
-                                        : accepted_rerun;
-      if (accepted_now.any()) {
-        if (narrow != nullptr)
-          scatter_lanes(state, *narrow, narrow_retry.lanes(), accepted_rerun);
-        else
-          blend_lanes(state, scratch, accepted_now);
-        accepted_lanes |= accepted_now & live;
-        pending.remove(accepted_now);
-      }
-      LaneMask exhausted(W);
-      for_each_lane(pending, [&](unsigned lane) {
-        if (--program_left[lane] <= 0) exhausted.set(lane);
-      });
-      rejected |= exhausted;
-      pending.remove(exhausted);
-    }
-    est.rejected += rejected.popcount();
-    // Judged once, after the restarts: a lane's cells are never written
-    // after it is accepted (restarts blend or scatter only the lanes
-    // they accept), so every accepted lane still holds its final output.
-    est.accepted += accepted_lanes.popcount();
-    est.silent_failures += classify(state, batch, accepted_lanes).popcount();
-    if (hp != nullptr) {
-      ++*hooks.batches;
-      *hooks.trials += static_cast<std::uint64_t>(lanes_this_batch);
-      hooks.replays_per_batch->record(batch_replays);
-      for (unsigned w = 0; w < W; ++w)
-        hooks.emit(telemetry::EventKind::kBatchAccept, batch, 0, 0,
-                   accepted_lanes.word(w),
-                   static_cast<std::uint64_t>(
-                       std::popcount(accepted_lanes.word(w))));
-    }
+    if (keep_boundaries) boundary_cp.capture(state);
   }
+
+  est.detected_trials += detected_lanes.popcount();
+  accepted = active & live;
+
+  // --- whole-program restarts (kWholeProgram, and kBlockLocal
+  // fallbacks): full re-runs from the entry checkpoint, one attempt
+  // per pending lane per pass; a pass whose pending lanes fit a
+  // narrower width runs compacted ---------------------------------
+  LaneMask pending = restart_pending;
+  if (pending.any() && policy.max_program_attempts <= 0) {
+    rejected |= pending;
+    pending.clear();
+  }
+  while (pending.any()) {
+    est.program_restarts += pending.popcount();
+    if (hp != nullptr) *hooks.restarts += pending.popcount();
+    PackedState* narrow = narrow_retry.fit(pending);
+    if (narrow != nullptr)
+      gather_lanes(*narrow, entry_cp, narrow_retry.lanes());
+    else
+      entry_cp.restore_all(scratch);
+    PackedState& rerun = narrow != nullptr ? *narrow : scratch;
+    const unsigned RW = rerun.lane_words();
+    const LaneMask rerun_pending =
+        narrow != nullptr ? narrow_retry.occupied(RW) : pending;
+    LaneMask still_clean = LaneMask::ones(RW);
+    for (const Segment& seg : plan.segments) {
+      sim.apply_noisy_span(rerun, circuit, seg.begin, seg.end + 1);
+      // A lane pays each segment until its first fired boundary —
+      // the point a physical whole-program retry would abort at.
+      est.ops_restart +=
+          seg.op_count() * (rerun_pending & still_clean).popcount();
+      comp_fired.assign(seg.components.size() * RW, 0);
+      eval_boundary(checked, seg, rerun, ~0ULL, comp_fired, nullptr,
+                    no_lanes);
+      LaneMask fired(RW);
+      for (std::size_t c = 0; c < seg.components.size(); ++c)
+        for (unsigned w = 0; w < RW; ++w)
+          fired.word(w) |= comp_fired[c * RW + w];
+      still_clean.remove(fired);
+      // Every pending lane failed: the pass is over.
+      if ((rerun_pending & still_clean).none()) break;
+    }
+    const LaneMask accepted_rerun = rerun_pending & still_clean;
+    const LaneMask accepted_now = narrow != nullptr
+                                      ? narrow_retry.widen(accepted_rerun)
+                                      : accepted_rerun;
+    if (accepted_now.any()) {
+      if (narrow != nullptr)
+        scatter_lanes(state, *narrow, narrow_retry.lanes(), accepted_rerun);
+      else
+        blend_lanes(state, scratch, accepted_now);
+      accepted |= accepted_now & live;
+      pending.remove(accepted_now);
+    }
+    LaneMask exhausted(W);
+    for_each_lane(pending, [&](unsigned lane) {
+      if (--program_left[lane] <= 0) exhausted.set(lane);
+    });
+    rejected |= exhausted;
+    pending.remove(exhausted);
+  }
+  est.rejected += rejected.popcount();
+  // Judged once, after the restarts: a lane's cells are never written
+  // after it is accepted (restarts blend or scatter only the lanes
+  // they accept), so every accepted lane still holds its final output.
+  est.accepted += accepted.popcount();
+  est.silent_failures += classify(state, batch, accepted).popcount();
+  if (hp != nullptr) hooks.replays_per_batch->record(batch_replays);
   return est;
 }
 

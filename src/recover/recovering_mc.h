@@ -37,6 +37,11 @@
 //     going), so retries are real re-executions under the same noise
 //     model, not re-rolls of the same faults.
 //
+// The engine runs and judges ONE prepared batch (run_recovering_batch
+// behind RecoveringEngine); the driver's batch step in
+// noise/parallel_mc.h clears and prepares the state, hands it the live
+// lanes, and counts the batch and its accepted lanes.
+//
 // Cost accounting is per trial, the way an independent physical run
 // would pay: a lane is charged the segment ops it executed, the replay
 // ops of the replays IT consumed, and the restart ops up to ITS first
@@ -61,43 +66,44 @@
 
 namespace revft::recover {
 
-/// Batch-level callbacks, same contract as the other engines: prepare
-/// fills every lane of a cleared state (rails left zero); classify
-/// returns the lanes of its mask argument whose final output is wrong
-/// (kernel_classify in noise/monte_carlo.h). The engine classifies
-/// once per batch, over the accepted lanes.
-using PrepareFn =
-    std::function<void(PackedState&, Xoshiro256&, std::uint64_t)>;
+/// The batch classifier the engine calls once per batch, over the
+/// accepted lanes: the lanes of its mask argument whose final output is
+/// wrong (kernel_classify in noise/monte_carlo.h).
 using ClassifyFn =
     std::function<LaneMask(const PackedState&, std::uint64_t, const LaneMask&)>;
 
-/// The recovering counterpart of detail::run_checked_mc_span: one
-/// simulator, a contiguous batch range, retries included. Out-of-line
-/// (not a template) — the segment walk is involved enough that one
-/// canonical definition beats inlining per kernel type. Checkpoints
-/// are evaluated off CheckedCircuit::checkpoint_spans; a circuit
-/// without them (one not built by to_parity_rail) throws revft::Error.
+/// Run and judge one prepared batch (see the file comment): the segment
+/// walk of the `live` lanes of `state`, retries included, then one
+/// classify call over the accepted lanes, which are written to
+/// `accepted`. The returned estimate counts everything but the trials,
+/// which the driver's batch step adds. Out-of-line (not a template) —
+/// the segment walk is involved enough that one canonical definition
+/// beats inlining per kernel type. Checkpoints are evaluated off
+/// CheckedCircuit::checkpoint_spans; a circuit without them (one not
+/// built by to_parity_rail) throws revft::Error.
 ///
 /// `trace` (nullable) receives the full per-boundary story: recover.*
 /// counters (per-rail events, per-segment replays and replayed ops,
 /// restarts, a replays-per-batch histogram) plus kRailFired /
 /// kZeroCheckFired / kCheckpointRestore / kSegmentReplay /
-/// kEscalationRestart / kBatchAccept events stamped with segment and
-/// rail ids. Hooks fire at boundary/replay granularity (never per
-/// gate) and are all gated on the pointer, so an untraced run pays
-/// one predictable branch per boundary.
-RecoveryEstimate run_recovering_mc_span(
+/// kEscalationRestart events stamped with segment and rail ids. Hooks
+/// fire at boundary/replay granularity (never per gate) and are all
+/// gated on the pointer, so an untraced run pays one predictable branch
+/// per boundary.
+RecoveryEstimate run_recovering_batch(
     PackedSimulator& sim, PackedState& state,
     const detect::CheckedCircuit& checked, const SegmentPlan& plan,
-    const RetryPolicy& policy, std::uint64_t first_batch, std::uint64_t trials,
-    const PrepareFn& prepare, const ClassifyFn& classify,
+    const RetryPolicy& policy, std::uint64_t batch, const LaneMask& live,
+    const ClassifyFn& classify, LaneMask& accepted,
     telemetry::ShardTrace* trace = nullptr);
 
-/// The recovering engine's adapter for the Monte-Carlo driver
-/// (noise/parallel_mc.h); its headline is the delivered-output quality.
+/// The recovering engine (noise/parallel_mc.h runs it one prepared
+/// batch at a time, through run_recovering_batch); its headline is the
+/// delivered-output quality.
 struct RecoveringEngine {
   using Estimate = RecoveryEstimate;
   static constexpr const char* kName = "recovering";
+  static constexpr const char* kMetricPrefix = "recover";
 
   const detect::CheckedCircuit& checked;
   const SegmentPlan& plan;
@@ -107,11 +113,10 @@ struct RecoveringEngine {
 
   template <typename Kernel>
   Estimate run_batch(PackedSimulator& sim, PackedState& state, Kernel& kernel,
-                     std::uint64_t batch, std::uint64_t trials,
-                     telemetry::ShardTrace* trace) const {
-    return run_recovering_mc_span(sim, state, checked, plan, policy, batch,
-                                  trials, kernel_prepare(kernel),
-                                  kernel_classify(kernel), trace);
+                     std::uint64_t batch, const LaneMask& live,
+                     LaneMask& accepted, telemetry::ShardTrace* trace) const {
+    return run_recovering_batch(sim, state, checked, plan, policy, batch, live,
+                                kernel_classify(kernel), accepted, trace);
   }
 
   static BernoulliEstimate headline(const Estimate& est) noexcept {

@@ -9,8 +9,8 @@
 
 #include "noise/injection.h"
 #include "noise/model.h"
-#include "noise/monte_carlo.h"
 #include "noise/packed_sim.h"
+#include "noise/parallel_mc.h"
 #include "rev/simulator.h"
 #include "support/error.h"
 

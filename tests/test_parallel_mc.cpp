@@ -2,7 +2,9 @@
 // partial batches, the determinism contract (bit-identical results at
 // any thread count for a fixed seed), statistical agreement with the
 // single-threaded harness, the driver's memory and exception
-// guarantees, and strict REVFT_THREADS parsing.
+// guarantees, the batch bookkeeping every engine shares (batch and
+// trial counters, one accept event per lane word), and strict
+// REVFT_THREADS parsing.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,11 +15,18 @@
 #include <string>
 #include <vector>
 
+#include "detect/checked_mc.h"
 #include "ft/experiments.h"
+#include "ft/machine_kernel.h"
+#include "ft/recover_experiment.h"
+#include "local/checked_machine.h"
 #include "noise/monte_carlo.h"
 #include "noise/parallel_mc.h"
+#include "recover/plan.h"
+#include "recover/recovering_mc.h"
 #include "rev/circuit.h"
 #include "support/error.h"
+#include "telemetry/trace.h"
 
 namespace revft {
 namespace {
@@ -263,6 +272,117 @@ TEST(McDriver, RethrowsTheLowestIndexShardException) {
       }
       ASSERT_TRUE(caught.has_value()) << stoppable << " " << threads;
       EXPECT_EQ(*caught, "shard 2") << stoppable << " " << threads;
+    }
+  }
+}
+
+// --- batch bookkeeping, per engine -----------------------------------
+
+/// Checks the batch-level telemetry of a traced run: `<prefix>.batches`
+/// counts the batches, `<prefix>.trials` and the estimate both count
+/// exactly `trials`, there is one kBatchAccept event per batch lane
+/// word whose values sum to `accepted`, and the metrics were registered
+/// in the order `names`.
+void expect_batch_bookkeeping(const telemetry::Trace& trace,
+                              const std::string& prefix,
+                              const std::vector<std::string>& names,
+                              std::uint64_t batches, unsigned lane_words,
+                              std::uint64_t trials, std::uint64_t est_trials,
+                              std::uint64_t accepted) {
+  const telemetry::Metric* m_batches = trace.metrics().find(prefix + ".batches");
+  const telemetry::Metric* m_trials = trace.metrics().find(prefix + ".trials");
+  ASSERT_NE(m_batches, nullptr);
+  ASSERT_NE(m_trials, nullptr);
+  EXPECT_EQ(m_batches->value, batches);
+  EXPECT_EQ(m_trials->value, trials);
+  EXPECT_EQ(est_trials, trials);
+
+  std::uint64_t accept_events = 0;
+  std::uint64_t accept_lanes = 0;
+  for (const telemetry::Event& e : trace.events()) {
+    if (e.kind != telemetry::EventKind::kBatchAccept) continue;
+    ++accept_events;
+    accept_lanes += e.value;
+  }
+  EXPECT_EQ(trace.dropped(), 0u);
+  EXPECT_EQ(accept_events, batches * lane_words);
+  EXPECT_EQ(accept_lanes, accepted);
+
+  std::vector<std::string> registered;
+  for (const telemetry::Metric& m : trace.metrics().entries())
+    registered.push_back(m.name);
+  EXPECT_EQ(registered, names);
+}
+
+TEST(McDriver, BatchCountersAndAcceptEventsCoverExactlyTheTrials) {
+  const Circuit c = single_not();
+  Circuit logical(3);
+  logical.toffoli(2, 1, 0);
+  const auto program =
+      CheckedMachine1d(3, true, recovering_machine_options()).compile(logical);
+  const std::vector<unsigned> truth = machine_truth_table(logical);
+  const recover::SegmentPlan plan =
+      recover::build_segment_plan(program.checked);
+  const recover::RetryPolicy policy = recover::RetryPolicy::block_local();
+  const NoiseModel model = NoiseModel::uniform(1e-2);
+  const auto plain_kernel = per_shard_kernel(
+      [](PackedState&, Xoshiro256&, std::uint64_t) {},
+      [](const PackedState& s, int lane, std::uint64_t) {
+        return s.bit_lane(0, lane) != 1;
+      });
+  const auto machine_kernel = [&](std::uint64_t) {
+    return make_machine_kernel(program, truth);
+  };
+
+  for (const unsigned W : {1u, 8u}) {
+    // Five full batches and a partial sixth.
+    const std::uint64_t trials = 64ULL * W * 5 + 37;
+    const std::uint64_t batches = 6;
+    for (const int threads : {1, 3}) {
+      SCOPED_TRACE("W=" + std::to_string(W) +
+                   " threads=" + std::to_string(threads));
+      ParallelMcOptions opts;
+      opts.trials = trials;
+      opts.seed = 0xBA7C4ULL;
+      opts.threads = threads;
+      opts.batches_per_shard = 2;  // three shards
+      opts.lane_words = W;
+      {
+        telemetry::Trace trace;
+        const BernoulliEstimate est = run_parallel_mc(
+            c, NoiseModel::uniform(0.1), opts, plain_kernel, &trace);
+        EXPECT_GT(est.failures, 0u);
+        expect_batch_bookkeeping(trace, "mc",
+                                 {"mc.batches", "mc.trials", "mc.failures"},
+                                 batches, W, trials, est.trials,
+                                 est.trials - est.failures);
+      }
+      {
+        telemetry::Trace trace;
+        const detect::DetectionEstimate est = detect::run_parallel_checked_mc(
+            program.checked, model, opts, machine_kernel, &trace);
+        EXPECT_GT(est.detected, 0u);
+        expect_batch_bookkeeping(
+            trace, "detect",
+            {"detect.batches", "detect.trials", "detect.detected",
+             "detect.zero_check_fired", "detect.rail_fired"},
+            batches, W, trials, est.trials, est.trials - est.detected);
+      }
+      {
+        telemetry::Trace trace;
+        const recover::RecoveryEstimate est =
+            recover::run_parallel_recovering_mc(program.checked, plan, policy,
+                                                model, opts, machine_kernel,
+                                                &trace);
+        EXPECT_GT(est.local_retries, 0u);
+        expect_batch_bookkeeping(
+            trace, "recover",
+            {"recover.batches", "recover.trials", "recover.local_retries",
+             "recover.program_restarts", "recover.fallbacks",
+             "recover.rail_events", "recover.segment.replays",
+             "recover.segment.replay_ops", "recover.replays_per_batch"},
+            batches, W, trials, est.trials, est.accepted);
+      }
     }
   }
 }

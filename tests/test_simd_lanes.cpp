@@ -656,12 +656,14 @@ TEST(CheckpointSpans, EnginesRejectCircuitWithoutSpans) {
       << checked_msg;
 
   const std::string recovering_msg = thrown_message([&] {
-    recover::run_recovering_mc_span(
+    LaneMask accepted(1);
+    recover::run_recovering_batch(
         sim, state, without_spans, plan, recover::RetryPolicy::block_local(),
-        0, 64, [](PackedState&, Xoshiro256&, std::uint64_t) {},
+        0, LaneMask::ones(1),
         [](const PackedState& s, std::uint64_t, const LaneMask&) {
           return LaneMask(s.lane_words());
-        });
+        },
+        accepted);
   });
   EXPECT_NE(recovering_msg.find("checkpoint_spans"), std::string::npos)
       << recovering_msg;

@@ -2,7 +2,7 @@
 // telemetry/convergence.h) — the PR 10 determinism suite:
 //
 //   * a no-stop run reproduces a driver-free serial reference (each
-//     shard run whole by its span function) EXACTLY for all three
+//     shard run whole by detail::run_shard) EXACTLY for all three
 //     engines (plain, checked, recovering) — streaming is pure
 //     observation, never perturbation;
 //   * early-stopped estimates — trials consumed, failures, rail and
@@ -176,9 +176,9 @@ TEST(EarlyStop, StopReasonNamesAreStable) {
 // --- no-stop streaming == driver-free reference -----------------------
 
 /// Driver-free reference: every shard of the plan runs serially, in
-/// index order, through its own simulator and ONE call of the engine's
-/// span function over the whole shard. `run_shard(shard, sim, state)`
-/// makes that call; the estimates merge in shard order.
+/// index order, through its own simulator and ONE detail::run_shard
+/// call over the whole shard. `run_shard(shard, sim, state)` makes that
+/// call; the estimates merge in shard order.
 template <typename Estimate, typename RunShard>
 Estimate serial_reference(const ParallelMcOptions& mc, const NoiseModel& model,
                           std::uint32_t width, RunShard&& run_shard) {
@@ -202,9 +202,8 @@ TEST(StreamPlain, NoStopReproducesLegacyEstimateExactly) {
       mc, model, circuit.width(),
       [&](const McShard& shard, PackedSimulator& sim, PackedState& state) {
         ToffoliKernel kernel;
-        return detail::run_mc_span(sim, state, circuit, shard.first_batch,
-                                   shard.trials, kernel_prepare(kernel),
-                                   kernel_classify(kernel));
+        return detail::run_shard(PlainEngine{circuit}, sim, state, kernel,
+                                 shard.first_batch, shard.trials);
       });
   const BernoulliEstimate parallel = run_parallel_mc(
       circuit, model, mc, [](std::uint64_t) { return ToffoliKernel{}; });
@@ -241,9 +240,9 @@ TEST(StreamChecked, NoStopReproducesLegacyEstimateExactly) {
           mc, NoiseModel::uniform(0.01), program.checked.circuit.width(),
           [&](const McShard& shard, PackedSimulator& sim, PackedState& state) {
             MachineWorkloadKernel kernel = make_machine_kernel(program, truth);
-            return detect::detail::run_checked_mc_span(
-                sim, state, program.checked, shard.first_batch, shard.trials,
-                kernel_prepare(kernel), kernel_classify(kernel));
+            return detail::run_shard(detect::CheckedEngine{program.checked},
+                                     sim, state, kernel, shard.first_batch,
+                                     shard.trials);
           });
 
   EXPECT_EQ(exp.run(0.01), reference);
@@ -271,10 +270,9 @@ TEST(StreamRecovering, NoStopReproducesLegacyEstimateExactly) {
           mc, NoiseModel::uniform(0.01), program.checked.circuit.width(),
           [&](const McShard& shard, PackedSimulator& sim, PackedState& state) {
             MachineWorkloadKernel kernel = make_machine_kernel(program, truth);
-            return recover::run_recovering_mc_span(
-                sim, state, program.checked, exp.plan(), policy,
-                shard.first_batch, shard.trials, kernel_prepare(kernel),
-                kernel_classify(kernel));
+            return detail::run_shard(
+                recover::RecoveringEngine{program.checked, exp.plan(), policy},
+                sim, state, kernel, shard.first_batch, shard.trials);
           });
 
   EXPECT_EQ(exp.run(0.01, policy), reference);
